@@ -6,8 +6,7 @@ use std::path::{Path, PathBuf};
 use wikistale_apriori::Support;
 use wikistale_core::checkpoint::{self, CheckpointManifest};
 use wikistale_core::experiment::{
-    run_paper_evaluation, run_paper_evaluation_resumable, run_paper_evaluation_serial,
-    ExperimentConfig, PaperResults,
+    run_paper_evaluation, run_paper_evaluation_resumable, ExperimentConfig,
 };
 use wikistale_core::filters::FilterPipeline;
 use wikistale_core::predictors::DistanceNorm;
@@ -39,17 +38,8 @@ USAGE:
                      [--no-min-changes] [--vs-paper] [--theta F]
                      [--support F] [--confidence F] [--day-count-norm]
                      [--checkpoint-dir <dir>] [--resume]
-  wikistale bench    [--preset tiny|small|medium] [--seed N] [--scale F]
-                     [--no-min-changes] [--out <BENCH_parallel.json>]
-  wikistale bench pipeline [--scale tiny|small|medium] [--seed N]
-                     [--out <BENCH_pipeline.json>]
   wikistale serve    --artifacts <checkpoint-dir> [--addr HOST:PORT]
                      [--queue-limit N] [--deadline-ms N] [--cache-entries N]
-                     [--theta F] [--support F] [--confidence F] [--day-count-norm]
-  wikistale loadgen  --artifacts <checkpoint-dir> [--addr HOST:PORT]
-                     [--connections N] [--requests M] [--seed N] [--work-ms N]
-                     [--out <BENCH_serve.json>] [--queue-limit N]
-                     [--deadline-ms N] [--cache-entries N]
                      [--theta F] [--support F] [--confidence F] [--day-count-norm]
 
 Every subcommand additionally accepts:
@@ -73,18 +63,6 @@ its top-level stage times sum to the wall time. With
 atomically, and `--resume` picks up after a crash, skipping verified
 finished work; results are identical to an uninterrupted run.
 
-`bench` runs the full pipeline twice — once at --threads 1, once at the
-resolved parallel thread count — verifies the results match exactly, and
-records both wall times plus per-stage timings as JSON (default
-BENCH_parallel.json).
-
-`bench pipeline` times every stage of the end-to-end pipeline
-(synth → filter → cube → train → predict → eval) at --threads 1 and at
-the resolved parallel thread count, recording wall time and peak
-allocator bytes per stage plus the columnar change-table and day-store
-memory versus their row-layout baselines (default BENCH_pipeline.json).
-The two legs' predictions must be byte-identical or the command fails.
-
 `serve` loads the CRC-verified `filter` stage artifact from an
 `experiment --checkpoint-dir` directory, re-trains the predictors
 deterministically, and answers staleness queries over HTTP/1.1 until
@@ -97,12 +75,6 @@ Admission is bounded: past --queue-limit queued connections the server
 sheds 503 + Retry-After; requests exceeding --deadline-ms get 504.
 `--threads` sets the worker pool; responses are byte-identical at any
 thread count. `--addr 127.0.0.1:0` picks an ephemeral port (printed).
-
-`loadgen` drives a server with a seeded deterministic request mix and
-reports exact p50/p95/p99 latency plus the 503 shed rate as JSON
-(default BENCH_serve.json). Without --addr it self-hosts a server on an
-ephemeral loopback port using the same artifacts. `--work-ms` inflates
-request service time to demonstrate admission shedding.
 
 Cube files use the versioned wikicube binary format (.wcube).
 
@@ -145,18 +117,16 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         Some("anomalies") => cmd_anomalies(&args),
         Some("top") => cmd_top(&args),
         Some("figures") => cmd_figures(&args),
-        Some("bench") => cmd_bench(&args),
         Some("serve") => cmd_serve(&args),
-        Some("loadgen") => cmd_loadgen(&args),
         Some(other) => Err(CliError::Usage(format!(
             "unknown command {other:?}\n\n{USAGE}"
         ))),
     };
     if result.is_ok() {
-        // `serve`/`loadgen` reuse --metrics-format as the default
-        // rendering of the live /metrics route; for them a pipeline
-        // metrics report is only written when --metrics asks for one.
-        let serve_like = matches!(args.positional(0), Some("serve" | "loadgen"));
+        // `serve` reuses --metrics-format as the default rendering of
+        // the live /metrics route; for it a pipeline metrics report is
+        // only written when --metrics asks for one.
+        let serve_like = args.positional(0) == Some("serve");
         if !serve_like || args.has("metrics") {
             write_metrics(&args)?;
         }
@@ -646,384 +616,6 @@ fn cmd_experiment(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// What one `bench` leg reports: the evaluation results, the wall-clock
-/// milliseconds, and the top-level per-stage timings (label, ms).
-type BenchLeg = (PaperResults, f64, Vec<(String, f64)>);
-
-/// One timed leg of `bench`: the full pipeline (generate → filter →
-/// train → evaluate) at a pinned thread count, with a fresh metrics run
-/// so the per-stage breakdown belongs to this leg alone.
-fn bench_leg(
-    config: &SynthConfig,
-    exp_config: &ExperimentConfig,
-    no_min_changes: bool,
-    threads: usize,
-) -> Result<BenchLeg, CliError> {
-    wikistale_exec::set_threads(threads);
-    let registry = wikistale_obs::MetricsRegistry::global();
-    registry.reset();
-    let wall = std::time::Instant::now();
-    let corpus = wikistale_synth::try_generate(config)?;
-    let pipeline = if no_min_changes {
-        FilterPipeline::without_min_changes()
-    } else {
-        FilterPipeline::paper()
-    };
-    let (filtered, _) = pipeline.apply(&corpus.cube);
-    drop(corpus);
-    let span = filtered
-        .time_span()
-        .ok_or_else(|| CliError::Other("filtered cube is empty — nothing to bench".into()))?;
-    let split = EvalSplit::for_span(span).ok_or_else(|| {
-        CliError::Other("corpus spans less than the two years needed for validation + test".into())
-    })?;
-    let results = if threads <= 1 {
-        run_paper_evaluation_serial(&filtered, &split, exp_config)
-    } else {
-        run_paper_evaluation(&filtered, &split, exp_config)
-    };
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let snapshot = registry.snapshot();
-    let mut stages: Vec<(String, f64)> = snapshot
-        .spans
-        .iter()
-        .filter(|(path, _)| !path.contains('/'))
-        .map(|(path, stat)| (path.clone(), stat.total.as_secs_f64() * 1e3))
-        .collect();
-    stages.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    Ok((results, wall_ms, stages))
-}
-
-fn bench_stage_json(stages: &[(String, f64)]) -> String {
-    let entries: Vec<String> = stages
-        .iter()
-        .map(|(name, ms)| format!("    \"{}\": {:.3}", name.replace('"', ""), ms))
-        .collect();
-    format!("{{\n{}\n  }}", entries.join(",\n"))
-}
-
-fn cmd_bench(args: &Args) -> Result<(), CliError> {
-    if args.positional(1) == Some("pipeline") {
-        return cmd_bench_pipeline(args);
-    }
-    reject_unknown(
-        args,
-        &[
-            "preset",
-            "seed",
-            "scale",
-            "no-min-changes",
-            "theta",
-            "support",
-            "confidence",
-            "day-count-norm",
-            "out",
-        ],
-    )?;
-    let config = synth_config(args)?;
-    let exp_config = experiment_config(args)?;
-    let no_min_changes = args.has("no-min-changes");
-    let out = args.get("out").unwrap_or("BENCH_parallel.json");
-    // Parallel leg: the resolved thread count, or 4 when the machine (or
-    // configuration) resolves to a single worker — a 1-vs-1 comparison
-    // would measure nothing.
-    let resolved = wikistale_exec::threads();
-    let parallel_threads = if resolved > 1 { resolved } else { 4 };
-
-    let (serial_results, serial_ms, serial_stages) =
-        bench_leg(&config, &exp_config, no_min_changes, 1)?;
-    let (parallel_results, parallel_ms, parallel_stages) =
-        bench_leg(&config, &exp_config, no_min_changes, parallel_threads)?;
-    // Restore the dispatch-time configuration (each leg pinned its own).
-    match get_parsed::<usize>(args, "threads")? {
-        Some(n) => wikistale_exec::set_threads(n),
-        None => wikistale_exec::set_threads(0),
-    }
-
-    // The bench doubles as an end-to-end differential check.
-    if serial_results != parallel_results {
-        return Err(CliError::Other(
-            "bench: parallel results diverged from serial — determinism bug".into(),
-        ));
-    }
-    let speedup = if parallel_ms > 0.0 {
-        serial_ms / parallel_ms
-    } else {
-        0.0
-    };
-    let json = format!(
-        "{{\n  \"preset\": \"{}\",\n  \"seed\": {},\n  \"threads\": {},\n  \
-         \"serial_wall_ms\": {:.3},\n  \"parallel_wall_ms\": {:.3},\n  \
-         \"speedup\": {:.4},\n  \"identical_results\": true,\n  \
-         \"serial_stages_ms\": {},\n  \"parallel_stages_ms\": {}\n}}\n",
-        args.get("preset").unwrap_or("small").replace('"', ""),
-        config.seed,
-        parallel_threads,
-        serial_ms,
-        parallel_ms,
-        speedup,
-        bench_stage_json(&serial_stages),
-        bench_stage_json(&parallel_stages),
-    );
-    std::fs::write(out, &json).map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
-    println!(
-        "bench: serial {serial_ms:.0} ms, parallel ({parallel_threads} threads) \
-         {parallel_ms:.0} ms, speedup {speedup:.2}x"
-    );
-    println!("bench: serial and parallel results identical");
-    println!("wrote bench report → {out}");
-    Ok(())
-}
-
-/// One timed stage of `bench pipeline`: wall time plus heap usage (peak
-/// above the stage's baseline, and bytes still live when it finished).
-struct PipelineStage {
-    name: &'static str,
-    wall_ms: f64,
-    peak_alloc_bytes: u64,
-    retained_bytes: u64,
-}
-
-/// Run `f` as one named pipeline stage, recording its wall time and
-/// allocator high-water mark into `stages`.
-fn pipeline_stage<T>(
-    name: &'static str,
-    stages: &mut Vec<PipelineStage>,
-    f: impl FnOnce() -> T,
-) -> T {
-    let scope = wikistale_obs::alloc::AllocScope::begin();
-    let wall = std::time::Instant::now();
-    let value = f();
-    stages.push(PipelineStage {
-        name,
-        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        peak_alloc_bytes: scope.peak_delta() as u64,
-        retained_bytes: scope.retained_delta() as u64,
-    });
-    value
-}
-
-/// Memory layout of the filtered cube's hot data plane, with the
-/// row-layout baselines the columnar representation is measured against.
-struct CubeMemory {
-    num_changes: usize,
-    change_table_bytes: usize,
-    row_layout_baseline_bytes: usize,
-    day_store_bytes: usize,
-    day_store_decoded_baseline_bytes: usize,
-}
-
-/// What one `bench pipeline` leg produced: stage timings plus the exact
-/// prediction sets and evaluation outcomes, for the cross-leg
-/// determinism check.
-struct PipelineLeg {
-    threads: usize,
-    wall_ms: f64,
-    stages: Vec<PipelineStage>,
-    memory: CubeMemory,
-    predicted: Vec<wikistale_core::scoring::PredictedSets>,
-    outcomes: Vec<Vec<wikistale_core::EvalOutcome>>,
-}
-
-/// One leg of `bench pipeline`: the full synth → filter → cube → train →
-/// predict → eval pipeline at a pinned thread count, each stage timed
-/// and memory-profiled separately.
-fn pipeline_leg(
-    config: &SynthConfig,
-    exp_config: &ExperimentConfig,
-    threads: usize,
-) -> Result<PipelineLeg, CliError> {
-    use wikistale_core::experiment::TrainedPredictors;
-    use wikistale_core::scoring::predict_all;
-    use wikistale_core::{truth_set, EvalData, GRANULARITIES};
-    wikistale_exec::set_threads(threads);
-    let mut stages = Vec::new();
-    let wall = std::time::Instant::now();
-    let corpus = pipeline_stage("synth", &mut stages, || {
-        wikistale_synth::try_generate(config)
-    })?;
-    let filtered = pipeline_stage("filter", &mut stages, || {
-        FilterPipeline::paper().apply(&corpus.cube).0
-    });
-    drop(corpus);
-    let span = filtered
-        .time_span()
-        .ok_or_else(|| CliError::Other("filtered cube is empty — nothing to bench".into()))?;
-    let split = EvalSplit::for_span(span).ok_or_else(|| {
-        CliError::Other("corpus spans less than the two years needed for validation + test".into())
-    })?;
-    // "cube": materialize the shared delta-encoded day-list store and the
-    // evaluation index over it.
-    let index = pipeline_stage("cube", &mut stages, || {
-        filtered.day_lists();
-        CubeIndex::build(&filtered)
-    });
-    let day_store = filtered.day_lists();
-    let memory = CubeMemory {
-        num_changes: filtered.num_changes(),
-        change_table_bytes: filtered.change_table_bytes(),
-        row_layout_baseline_bytes: filtered.row_layout_baseline_bytes(),
-        day_store_bytes: day_store.heap_bytes(),
-        day_store_decoded_baseline_bytes: day_store.decoded_baseline_bytes(),
-    };
-    let data = EvalData::new(&filtered, &index);
-    let predictors = pipeline_stage("train", &mut stages, || {
-        TrainedPredictors::train(&data, split.train_and_validation(), exp_config)
-    });
-    let predicted: Vec<wikistale_core::scoring::PredictedSets> =
-        pipeline_stage("predict", &mut stages, || {
-            GRANULARITIES
-                .iter()
-                .map(|&g| predict_all(&data, &predictors, split.test, g))
-                .collect()
-        });
-    let outcomes: Vec<Vec<wikistale_core::EvalOutcome>> =
-        pipeline_stage("eval", &mut stages, || {
-            GRANULARITIES
-                .iter()
-                .zip(&predicted)
-                .map(|(&g, sets)| {
-                    let truth = truth_set(&index, split.test, g);
-                    [
-                        &sets.mean,
-                        &sets.threshold,
-                        &sets.field_corr,
-                        &sets.assoc,
-                        &sets.and,
-                        &sets.or,
-                    ]
-                    .into_iter()
-                    .map(|set| wikistale_core::eval::evaluate(set, &truth))
-                    .collect()
-                })
-                .collect()
-        });
-    Ok(PipelineLeg {
-        threads,
-        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        stages,
-        memory,
-        predicted,
-        outcomes,
-    })
-}
-
-fn pipeline_leg_json(leg: &PipelineLeg) -> String {
-    let stages: Vec<String> = leg
-        .stages
-        .iter()
-        .map(|s| {
-            format!(
-                "        {{\"name\": \"{}\", \"wall_ms\": {:.3}, \
-                 \"peak_alloc_bytes\": {}, \"retained_bytes\": {}}}",
-                s.name, s.wall_ms, s.peak_alloc_bytes, s.retained_bytes
-            )
-        })
-        .collect();
-    format!(
-        "    {{\n      \"threads\": {},\n      \"wall_ms\": {:.3},\n      \
-         \"stages\": [\n{}\n      ]\n    }}",
-        leg.threads,
-        leg.wall_ms,
-        stages.join(",\n")
-    )
-}
-
-fn cmd_bench_pipeline(args: &Args) -> Result<(), CliError> {
-    reject_unknown(args, &["scale", "seed", "out"])?;
-    let scale = args.get("scale").unwrap_or("small");
-    let mut config = match scale {
-        "tiny" => SynthConfig::tiny(),
-        "small" => SynthConfig::small(),
-        "medium" => SynthConfig::medium(),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown scale {other:?} (tiny|small|medium)"
-            )))
-        }
-    };
-    if let Some(seed) = get_parsed::<u64>(args, "seed")? {
-        config.seed = seed;
-    }
-    let exp_config = ExperimentConfig::default();
-    let out = args.get("out").unwrap_or("BENCH_pipeline.json");
-    let resolved = wikistale_exec::threads();
-    let parallel_threads = if resolved > 1 { resolved } else { 4 };
-
-    let serial = pipeline_leg(&config, &exp_config, 1)?;
-    let parallel = pipeline_leg(&config, &exp_config, parallel_threads)?;
-    // Restore the dispatch-time thread configuration.
-    match get_parsed::<usize>(args, "threads")? {
-        Some(n) => wikistale_exec::set_threads(n),
-        None => wikistale_exec::set_threads(0),
-    }
-
-    // The bench doubles as the end-to-end row-vs-columnar differential:
-    // both legs must produce the exact same prediction sets and scores.
-    if serial.predicted != parallel.predicted || serial.outcomes != parallel.outcomes {
-        return Err(CliError::Other(
-            "bench pipeline: parallel results diverged from serial — determinism bug".into(),
-        ));
-    }
-    let m = &parallel.memory;
-    let savings = |actual: usize, baseline: usize| {
-        if baseline == 0 {
-            0.0
-        } else {
-            1.0 - actual as f64 / baseline as f64
-        }
-    };
-    let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"seed\": {},\n  \"parallel_threads\": {},\n  \
-         \"identical_results\": true,\n  \"legs\": [\n{},\n{}\n  ],\n  \
-         \"memory\": {{\n    \"num_changes\": {},\n    \
-         \"change_table_bytes\": {},\n    \"row_layout_baseline_bytes\": {},\n    \
-         \"change_table_savings_fraction\": {:.4},\n    \
-         \"day_store_bytes\": {},\n    \"day_store_decoded_baseline_bytes\": {},\n    \
-         \"day_store_savings_fraction\": {:.4}\n  }}\n}}\n",
-        scale.replace('"', ""),
-        config.seed,
-        parallel_threads,
-        pipeline_leg_json(&serial),
-        pipeline_leg_json(&parallel),
-        m.num_changes,
-        m.change_table_bytes,
-        m.row_layout_baseline_bytes,
-        savings(m.change_table_bytes, m.row_layout_baseline_bytes),
-        m.day_store_bytes,
-        m.day_store_decoded_baseline_bytes,
-        savings(m.day_store_bytes, m.day_store_decoded_baseline_bytes),
-    );
-    std::fs::write(out, &json).map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
-    println!(
-        "bench pipeline ({scale}): serial {:.0} ms, parallel ({} threads) {:.0} ms",
-        serial.wall_ms, parallel.threads, parallel.wall_ms
-    );
-    println!(
-        "{:<10} {:>12} {:>12} {:>16} {:>16}",
-        "stage", "t1_ms", "tN_ms", "t1_peak_bytes", "tN_peak_bytes"
-    );
-    for (s1, sn) in serial.stages.iter().zip(&parallel.stages) {
-        println!(
-            "{:<10} {:>12.1} {:>12.1} {:>16} {:>16}",
-            s1.name, s1.wall_ms, sn.wall_ms, s1.peak_alloc_bytes, sn.peak_alloc_bytes
-        );
-    }
-    println!(
-        "memory: change table {} B vs row baseline {} B ({:.1} % saved); \
-         day store {} B vs decoded baseline {} B ({:.1} % saved)",
-        m.change_table_bytes,
-        m.row_layout_baseline_bytes,
-        100.0 * savings(m.change_table_bytes, m.row_layout_baseline_bytes),
-        m.day_store_bytes,
-        m.day_store_decoded_baseline_bytes,
-        100.0 * savings(m.day_store_bytes, m.day_store_decoded_baseline_bytes),
-    );
-    println!("bench pipeline: serial and parallel results identical");
-    println!("wrote pipeline report → {out}");
-    Ok(())
-}
-
 /// Load the serving artifact set named by `--artifacts`, with the
 /// shared predictor tuning flags folded into the cache generation.
 fn load_serve_artifacts(args: &Args) -> Result<wikistale_serve::ServeArtifacts, CliError> {
@@ -1032,7 +624,7 @@ fn load_serve_artifacts(args: &Args) -> Result<wikistale_serve::ServeArtifacts, 
     wikistale_serve::ServeArtifacts::load(&dir, &config).map_err(CliError::from_artifact)
 }
 
-/// Parse the server tuning flags shared by `serve` and `loadgen`.
+/// Parse the server tuning flags of `serve`.
 fn serve_server_config(args: &Args) -> Result<wikistale_serve::ServerConfig, CliError> {
     let mut config = wikistale_serve::ServerConfig::default();
     if let Some(threads) = get_parsed::<usize>(args, "threads")? {
@@ -1107,101 +699,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         .run(listener)
         .map_err(|e| CliError::Io(format!("serve: {e}")))?;
     println!("shutdown: drained in-flight requests");
-    Ok(())
-}
-
-fn cmd_loadgen(args: &Args) -> Result<(), CliError> {
-    reject_unknown(
-        args,
-        &[
-            "artifacts",
-            "addr",
-            "connections",
-            "requests",
-            "seed",
-            "work-ms",
-            "out",
-            "queue-limit",
-            "deadline-ms",
-            "cache-entries",
-            "theta",
-            "support",
-            "confidence",
-            "day-count-norm",
-        ],
-    )?;
-    let artifacts = std::sync::Arc::new(load_serve_artifacts(args)?);
-    let load_config = wikistale_serve::LoadConfig {
-        connections: get_parsed::<usize>(args, "connections")?
-            .unwrap_or(8)
-            .max(1),
-        requests: get_parsed::<usize>(args, "requests")?.unwrap_or(50).max(1),
-        seed: get_parsed::<u64>(args, "seed")?.unwrap_or(42),
-        work_ms: get_parsed::<u64>(args, "work-ms")?.unwrap_or(0),
-    };
-    let server_config = serve_server_config(args)?;
-    let out = args.get("out").unwrap_or("BENCH_serve.json");
-
-    let (report, self_hosted) = match args.get("addr") {
-        Some(addr) => {
-            let target: std::net::SocketAddr = addr
-                .parse()
-                .map_err(|e| CliError::Usage(format!("--addr: {e}")))?;
-            println!("loadgen: targeting http://{target}");
-            (
-                wikistale_serve::loadgen::run(target, &artifacts, &load_config),
-                false,
-            )
-        }
-        None => {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0")
-                .map_err(|e| CliError::Io(format!("cannot bind loopback: {e}")))?;
-            let server = wikistale_serve::Server::new(
-                std::sync::Arc::clone(&artifacts),
-                server_config.clone(),
-            );
-            let handle = server
-                .spawn(listener)
-                .map_err(|e| CliError::Io(format!("cannot start server: {e}")))?;
-            println!("loadgen: self-hosting on http://{}", handle.addr());
-            let report = wikistale_serve::loadgen::run(handle.addr(), &artifacts, &load_config);
-            handle
-                .stop()
-                .map_err(|e| CliError::Io(format!("server drain: {e}")))?;
-            (report, true)
-        }
-    };
-
-    let json = format!(
-        "{{\n  \"connections\": {},\n  \"requests_per_connection\": {},\n  \
-         \"seed\": {},\n  \"work_ms\": {},\n  \"self_hosted\": {self_hosted},\n  \
-         \"threads\": {},\n  \"queue_limit\": {},\n  \"deadline_ms\": {},\n  \
-         \"generation\": {},\n  \"report\": {}\n}}\n",
-        load_config.connections,
-        load_config.requests,
-        load_config.seed,
-        load_config.work_ms,
-        server_config.threads,
-        server_config.queue_limit,
-        server_config.deadline.as_millis(),
-        wikistale_obs::json::escape(&artifacts.generation),
-        report.render_json().trim_end(),
-    );
-    std::fs::write(out, &json).map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
-    println!(
-        "loadgen: {} requests · {} ok · {} shed (rate {:.3}) · {} late · {} errors",
-        report.total,
-        report.ok,
-        report.shed_503,
-        report.shed_rate,
-        report.deadline_504,
-        report.errors,
-    );
-    println!(
-        "loadgen: p50 {:.2} ms · p95 {:.2} ms · p99 {:.2} ms · max {:.2} ms · {:.0} req/s",
-        report.p50_ms, report.p95_ms, report.p99_ms, report.max_ms, report.rps,
-    );
-    println!("wrote load report → {out}");
     Ok(())
 }
 
@@ -1634,50 +1131,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         assert!(err.to_string().contains("different parameters"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_pipeline_writes_report_and_verifies_determinism() {
-        let dir = std::env::temp_dir().join("wikistale-cli-bench-pipeline-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_pipeline.json");
-        run_words(&[
-            "bench",
-            "pipeline",
-            "--scale",
-            "tiny",
-            "--out",
-            out.to_str().unwrap(),
-        ])
-        .unwrap();
-        let report = std::fs::read_to_string(&out).unwrap();
-        let v = wikistale_obs::json::parse(&report).unwrap();
-        assert!(matches!(
-            v.get("identical_results"),
-            Some(wikistale_obs::json::Value::Bool(true))
-        ));
-        // Both legs report the full six-stage breakdown.
-        for stage in ["synth", "filter", "cube", "train", "predict", "eval"] {
-            assert!(
-                report.contains(&format!("\"name\": \"{stage}\"")),
-                "{stage}"
-            );
-        }
-        // The columnar change table must beat the row-layout baseline,
-        // and the counting allocator must have observed the pipeline
-        // (the CLI installs it as the global allocator).
-        let mem = v.get("memory").expect("memory section");
-        let table = mem.get("change_table_bytes").and_then(|x| x.as_f64());
-        let baseline = mem
-            .get("row_layout_baseline_bytes")
-            .and_then(|x| x.as_f64());
-        assert!(
-            table.unwrap() < baseline.unwrap(),
-            "{table:?} vs {baseline:?}"
-        );
-        assert!(report.contains("\"peak_alloc_bytes\""));
-        assert!(run_words(&["bench", "pipeline", "--scale", "nope"]).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

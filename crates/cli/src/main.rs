@@ -20,12 +20,6 @@ mod error;
 
 use std::process::ExitCode;
 
-/// Count heap usage process-wide so `bench pipeline` can report per-stage
-/// peak allocator bytes. The counter is a pair of relaxed atomics per
-/// allocation — cheap enough to leave on for every subcommand.
-#[global_allocator]
-static ALLOC: wikistale_obs::alloc::CountingAlloc = wikistale_obs::alloc::CountingAlloc;
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::run(&argv) {

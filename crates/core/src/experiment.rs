@@ -204,29 +204,11 @@ pub fn run_paper_evaluation(
     };
     let data = EvalData::new(filtered, &index);
     let predictors = TrainedPredictors::train(&data, split.train_and_validation(), config);
-    results_for(&data, &predictors, split.test, Concurrency::Parallel)
+    results_for(&data, &predictors, split.test)
 }
 
-/// [`run_paper_evaluation`] with the granularities evaluated one after
-/// another on the calling thread. Slower, but every span lands on one
-/// thread-local stack, so the metrics registry sees a single nested stage
-/// tree whose top-level totals sum to the true wall time — the mode the
-/// CLI `experiment` subcommand uses for `--metrics` output.
-pub fn run_paper_evaluation_serial(
-    filtered: &ChangeCube,
-    split: &EvalSplit,
-    config: &ExperimentConfig,
-) -> PaperResults {
-    let index = {
-        let _s = wikistale_obs::MetricsRegistry::global().span("index");
-        CubeIndex::build(filtered)
-    };
-    let data = EvalData::new(filtered, &index);
-    let predictors = TrainedPredictors::train(&data, split.train_and_validation(), config);
-    results_for(&data, &predictors, split.test, Concurrency::Serial)
-}
-
-/// [`run_paper_evaluation_serial`] with checkpoint/resume support.
+/// [`run_paper_evaluation`] with checkpoint/resume support. The
+/// granularities run one after another on the calling thread.
 ///
 /// Work already recorded in `manifest` (granularity results, the
 /// training summary) is skipped; freshly completed work is recorded into
@@ -290,36 +272,23 @@ pub fn run_validation_evaluation(
     };
     let data = EvalData::new(filtered, &index);
     let predictors = TrainedPredictors::train(&data, split.train, config);
-    results_for(&data, &predictors, split.validation, Concurrency::Parallel)
-}
-
-/// Whether [`results_for`] spreads the granularities across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Concurrency {
-    Parallel,
-    Serial,
+    results_for(&data, &predictors, split.validation)
 }
 
 fn results_for(
     data: &EvalData<'_>,
     predictors: &TrainedPredictors,
     eval_range: DateRange,
-    concurrency: Concurrency,
 ) -> PaperResults {
     // The four granularities are independent window sweeps; run them as
     // engine tasks (slot-merged, so the result order is always the
-    // `GRANULARITIES` order) unless the caller wants one nested span tree
-    // on this thread — the serial engine runs the identical code path on
-    // the caller thread.
+    // `GRANULARITIES` order).
     use wikistale_exec::{Engine, Execute};
-    let engine = match concurrency {
-        Concurrency::Serial => Engine::serial(),
-        Concurrency::Parallel => Engine::current(),
-    };
-    let per_granularity = engine.run_tasks("granularities", crate::GRANULARITIES.len(), |task| {
-        let g = crate::GRANULARITIES[task];
-        evaluate_granularity(data, predictors, eval_range, g, g == 7)
-    });
+    let per_granularity =
+        Engine::current().run_tasks("granularities", crate::GRANULARITIES.len(), |task| {
+            let g = crate::GRANULARITIES[task];
+            evaluate_granularity(data, predictors, eval_range, g, g == 7)
+        });
 
     let mut rules_per_template: Vec<(TemplateId, usize)> =
         predictors.assoc.rules_per_template().into_iter().collect();
@@ -425,7 +394,7 @@ mod tests {
         let (filtered, _) = FilterPipeline::paper().apply(&corpus.cube);
         let split = EvalSplit::for_span(filtered.time_span().unwrap()).unwrap();
         let config = ExperimentConfig::default();
-        let reference = run_paper_evaluation_serial(&filtered, &split, &config);
+        let reference = run_paper_evaluation(&filtered, &split, &config);
 
         // Fresh manifest: every stage computed, results identical.
         let mut manifest = crate::checkpoint::CheckpointManifest::new("fp");

@@ -472,7 +472,7 @@ mod tests {
         for case in 0..256 {
             let mut rng = TestRng::for_case("percent_round_trip", case);
             let t = title.generate(&mut rng);
-            let encoded = crate::loadgen::encode_segment(&t);
+            let encoded = crate::testutil::encode_segment(&t);
             assert_eq!(percent_decode(&encoded, false), t, "path mode: {t:?}");
             assert_eq!(percent_decode(&encoded, true), t, "query mode: {t:?}");
         }

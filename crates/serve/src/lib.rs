@@ -28,13 +28,10 @@
 //!   [`wikistale_exec::service::ServicePool`] (sheds 503 +
 //!   `Retry-After` when the queue is full), per-request deadlines
 //!   (504), graceful drain on shutdown.
-//! * [`loadgen`] — deterministic loopback load harness producing the
-//!   p50/p95/p99 + shed-rate numbers in `BENCH_serve.json`.
 
 pub mod artifacts;
 pub mod cache;
 pub mod http;
-pub mod loadgen;
 pub mod routes;
 pub mod server;
 #[cfg(test)]
@@ -42,6 +39,5 @@ pub(crate) mod testutil;
 
 pub use artifacts::{ArtifactError, ServeArtifacts};
 pub use cache::ResponseCache;
-pub use loadgen::{LoadConfig, LoadReport};
 pub use routes::{App, MetricsFormat};
 pub use server::{Server, ServerConfig};

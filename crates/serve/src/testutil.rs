@@ -73,6 +73,20 @@ pub fn http_post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
     )
 }
 
+/// Percent-encode a path segment (everything but unreserved bytes).
+pub fn encode_segment(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for b in text.bytes() {
+        match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                out.push(b as char)
+            }
+            _ => out.push_str(&format!("%{b:02X}")),
+        }
+    }
+    out
+}
+
 /// The body of a response (after the blank line).
 pub fn body_of(response: &str) -> &str {
     match response.split_once("\r\n\r\n") {

@@ -24,12 +24,13 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use wikistale_apriori::{frequent_itemsets, Support, TransactionSet};
-use wikistale_core::experiment::{run_paper_evaluation, ExperimentConfig};
+use wikistale_core::experiment::{run_paper_evaluation, ExperimentConfig, TrainedPredictors};
 use wikistale_core::filters::FilterPipeline;
 use wikistale_core::predictors::{FieldCorrelation, FieldCorrelationParams};
 use wikistale_core::report;
+use wikistale_core::scoring::predict_all;
 use wikistale_core::split::EvalSplit;
-use wikistale_core::{truth_set, EvalData};
+use wikistale_core::{truth_set, EvalData, GRANULARITIES};
 use wikistale_synth::{generate, SynthConfig};
 use wikistale_wikicube::{binio, ChangeCube, ChangeCubeBuilder, ChangeKind, CubeIndex, Date};
 
@@ -249,25 +250,32 @@ fn correlation_partners_independent_of_threads() {
 }
 
 /// Stage 4, the evaluation sweep: truth sets, every granularity's
-/// prediction sets (via PaperResults equality), and the rendered report
+/// exact prediction sets, the PaperResults and the rendered report
 /// across threads × chunks.
 #[test]
 fn evaluation_results_independent_of_threads() {
     let corpus = generate(&SynthConfig::tiny());
     let (filtered, _) = FilterPipeline::paper().apply(&corpus.cube);
     let split = EvalSplit::for_span(filtered.time_span().unwrap()).unwrap();
+    let config = ExperimentConfig::default();
     let evaluate_at = |threads: usize, chunk: usize| {
         with_exec(threads, chunk, || {
             let index = CubeIndex::build(&filtered);
             let truth = truth_set(&index, split.test, 7);
-            let results = run_paper_evaluation(&filtered, &split, &ExperimentConfig::default());
+            let data = EvalData::new(&filtered, &index);
+            let predictors = TrainedPredictors::train(&data, split.train_and_validation(), &config);
+            let predicted: Vec<_> = GRANULARITIES
+                .iter()
+                .map(|&g| predict_all(&data, &predictors, split.test, g))
+                .collect();
+            let results = run_paper_evaluation(&filtered, &split, &config);
             let rendered = format!(
                 "{}\n{}\n{}",
                 report::render_table1(&results),
                 report::render_overlap(&results),
                 report::render_figure3(&results)
             );
-            (truth.items().to_vec(), results, rendered)
+            (truth.items().to_vec(), results, rendered, predicted)
         })
     };
     let reference = evaluate_at(1, 0);
@@ -279,6 +287,10 @@ fn evaluation_results_independent_of_threads() {
             "results threads={threads} chunk={chunk}"
         );
         assert_eq!(got.2, reference.2, "report threads={threads} chunk={chunk}");
+        assert_eq!(
+            got.3, reference.3,
+            "predicted sets threads={threads} chunk={chunk}"
+        );
     }
 }
 
@@ -376,30 +388,6 @@ fn checkpoint_resume_crosses_thread_counts() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// `bench` is itself a differential check (it refuses to write a report
-/// when serial and parallel results diverge) — run it end to end.
-#[test]
-fn bench_subcommand_verifies_and_reports() {
-    let dir = tmpdir("bench");
-    let out_path = dir.join("BENCH_parallel.json");
-    let out = wikistale(&[
-        "bench",
-        "--preset",
-        "tiny",
-        "--seed",
-        "3",
-        "--out",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let report = std::fs::read_to_string(&out_path).unwrap();
-    wikistale_obs::json::validate(&report).expect("bench report is valid JSON");
-    assert!(report.contains("\"identical_results\": true"));
-    assert!(report.contains("\"serial_wall_ms\""));
-    assert!(report.contains("\"parallel_stages_ms\""));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------
