@@ -21,8 +21,8 @@ wikistale — detect stale data in Wikipedia infoboxes (EDBT 2023 reproduction)
 
 USAGE:
   wikistale generate --out <cube> [--preset tiny|small|medium] [--seed N] [--scale F]
-  wikistale ingest   --xml <dump.xml> --out <cube> [--lossy] [--error-budget PCT]
-                     [--quarantine <report.json>]
+  wikistale ingest   --xml <dump.xml> --out <cube> [--all-namespaces] [--lossy]
+                     [--error-budget PCT] [--quarantine <report.json>]
   wikistale stats    --in <cube>
   wikistale filter   --in <cube> --out <cube> [--no-min-changes]
   wikistale evaluate --in <filtered-cube> [--vs-paper] [--theta F]
@@ -51,7 +51,9 @@ Every subcommand additionally accepts:
                               cores; results are byte-identical at any
                               thread count)
 
-`ingest --lossy` quarantines malformed pages instead of aborting; a
+`ingest` skips non-article pages (Talk:, User:, Template:, …) unless
+`--all-namespaces` is given. `ingest --lossy` quarantines malformed
+pages instead of aborting; a
 summary of everything skipped goes to stderr, the full report to
 `--quarantine <path>` as JSON. `--error-budget 0.5` aborts once more
 than 0.5 % of pages were quarantined (implies --lossy).

@@ -5,7 +5,7 @@
 //! directory to the exact configuration fingerprint that produced it,
 //! and [`CheckpointManifest::verified_stage_bytes`] re-checks the CRC-32
 //! and length of the `filter` stage artifact before a single byte is
-//! decoded. Decoding failures surface the binio-v2
+//! decoded. Decoding failures surface the binio-v3
 //! `Truncated{section,need,got}` detail verbatim — a clear, classified
 //! error (exit code 4 at the CLI), never a panic.
 //!

@@ -14,7 +14,7 @@
 //!
 //! Layering, bottom to top:
 //!
-//! * [`artifacts`] — loads binio-v2 artifacts from a checkpoint
+//! * [`artifacts`] — loads binio-v3 artifacts from a checkpoint
 //!   directory, CRC-verified through `core::checkpoint`, and trains the
 //!   predictors once at startup. Derives the cache **generation**.
 //! * [`http`] — minimal, strict HTTP/1.1 request parsing and

@@ -1,7 +1,8 @@
 //! Versioned binary persistence for change cubes.
 //!
-//! Version 3 (the current writer) frames every section with a length and
-//! a CRC-32 so corruption is detected before any data is trusted:
+//! Version 3 is the only format read or written. It frames every section
+//! with a length and a CRC-32 so corruption is detected before any data
+//! is trusted:
 //!
 //! ```text
 //! magic     8 bytes  "WCUBE\0\0\0"
@@ -16,18 +17,15 @@
 //!
 //! Interner payloads are `u32 count`, then `u32 byte length + UTF-8
 //! bytes` per string; `entity_meta` is `u32 count`, then
-//! `{ template u32, page u32 }` per entity. The v3 `changes` payload
+//! `{ template u32, page u32 }` per entity. The `changes` payload
 //! mirrors the in-memory columnar layout ([`crate::ChangeColumns`]):
 //! `u64 count`, then six contiguous column arrays — `day i32 × count`,
 //! `entity u32 × count`, `property u32 × count`, `value u32 × count`,
 //! `kind u8 × count`, `flags u8 × count`. All integers are
 //! little-endian.
 //!
-//! Version 2 framed identically but stored changes row-wise (`{ day i32,
-//! entity u32, property u32, value u32, kind u8, flags u8 }` per
-//! change); version 1 had no checksums and no section framing. Both are
-//! still read transparently, and [`encode_v2`] / [`encode_v1`] keep
-//! writers around for compatibility tests and downgrade tooling.
+//! Older versions (1: unframed, no checksums; 2: row-wise changes) are
+//! rejected as [`CubeError::UnsupportedVersion`].
 //!
 //! Reading validates magic, version, checksums, string UTF-8, id
 //! referential integrity and (via the cube constructor) restores
@@ -68,42 +66,20 @@ const SECTIONS: [&str; 7] = [
     "changes",
 ];
 
-/// Serialize `cube` into a byte buffer (format version 3, columnar
-/// changes section).
+/// Serialize `cube` into a byte buffer (format version 3).
 pub fn encode(cube: &ChangeCube) -> Vec<u8> {
-    encode_framed(cube, VERSION)
+    encode_framed(&section_payloads(cube))
 }
 
-/// Serialize `cube` in the version-2 layout (framed, row-wise changes).
-///
-/// Kept so compatibility tests can prove v2 files still load and so
-/// tooling can produce files for older readers.
-pub fn encode_v2(cube: &ChangeCube) -> Vec<u8> {
-    encode_framed(cube, 2)
-}
-
-/// Serialize `cube` in the legacy, checksum-free version-1 layout.
-///
-/// Kept so compatibility tests can prove v1 files still load and so
-/// tooling can produce files for older readers.
-pub fn encode_v1(cube: &ChangeCube) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + cube.num_changes() * 18);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&1u32.to_le_bytes());
-    for payload in section_payloads(cube, 1) {
-        buf.extend_from_slice(&payload);
-    }
-    buf
-}
-
-/// Shared writer for the framed (v2/v3) layouts.
-fn encode_framed(cube: &ChangeCube, version: u32) -> Vec<u8> {
-    let payloads = section_payloads(cube, version);
+/// Frame the seven section payloads: magic, version, then `len +
+/// payload + crc` per section, then the whole-file checksum.
+fn encode_framed(payloads: &[Vec<u8>]) -> Vec<u8> {
     debug_assert_eq!(payloads.len(), SECTIONS.len());
-    let mut buf = Vec::with_capacity(128 + cube.num_changes() * 18);
+    let len: usize = payloads.iter().map(|p| p.len() + 12).sum();
+    let mut buf = Vec::with_capacity(16 + len);
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&version.to_le_bytes());
-    for payload in &payloads {
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    for payload in payloads {
         buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         buf.extend_from_slice(payload);
         buf.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -114,8 +90,8 @@ fn encode_framed(cube: &ChangeCube, version: u32) -> Vec<u8> {
     buf
 }
 
-/// The seven section payloads in file order for `version`.
-fn section_payloads(cube: &ChangeCube, version: u32) -> Vec<Vec<u8>> {
+/// The seven section payloads in file order.
+fn section_payloads(cube: &ChangeCube) -> Vec<Vec<u8>> {
     let mut payloads = Vec::with_capacity(SECTIONS.len());
     for interner in [
         cube.entities(),
@@ -137,63 +113,47 @@ fn section_payloads(cube: &ChangeCube, version: u32) -> Vec<Vec<u8>> {
     payloads.push(meta);
     let mut changes = Vec::with_capacity(8 + cube.num_changes() * 18);
     changes.extend_from_slice(&(cube.num_changes() as u64).to_le_bytes());
-    if version >= 3 {
-        // Columnar: six contiguous arrays straight from the cube's
-        // struct-of-arrays change table.
-        let cols = cube.columns();
-        for &d in cols.days() {
-            changes.extend_from_slice(&d.day_number().to_le_bytes());
-        }
-        for &e in cols.entities() {
-            changes.extend_from_slice(&e.0.to_le_bytes());
-        }
-        for &p in cols.properties() {
-            changes.extend_from_slice(&p.0.to_le_bytes());
-        }
-        for &v in cols.values() {
-            changes.extend_from_slice(&v.0.to_le_bytes());
-        }
-        for &k in cols.kinds() {
-            changes.push(k as u8);
-        }
-        for &f in cols.flags() {
-            changes.push(f.bits());
-        }
-    } else {
-        for c in cube.iter_changes() {
-            changes.extend_from_slice(&c.day.day_number().to_le_bytes());
-            changes.extend_from_slice(&c.entity.0.to_le_bytes());
-            changes.extend_from_slice(&c.property.0.to_le_bytes());
-            changes.extend_from_slice(&c.value.0.to_le_bytes());
-            changes.push(c.kind as u8);
-            changes.push(c.flags.bits());
-        }
+    // Columnar: six contiguous arrays straight from the cube's
+    // struct-of-arrays change table.
+    let cols = cube.columns();
+    for &d in cols.days() {
+        changes.extend_from_slice(&d.day_number().to_le_bytes());
+    }
+    for &e in cols.entities() {
+        changes.extend_from_slice(&e.0.to_le_bytes());
+    }
+    for &p in cols.properties() {
+        changes.extend_from_slice(&p.0.to_le_bytes());
+    }
+    for &v in cols.values() {
+        changes.extend_from_slice(&v.0.to_le_bytes());
+    }
+    for &k in cols.kinds() {
+        changes.push(k as u8);
+    }
+    for &f in cols.flags() {
+        changes.push(f.bits());
     }
     payloads.push(changes);
     payloads
 }
 
-/// Deserialize a cube from bytes produced by [`encode`] (v3),
-/// [`encode_v2`], or [`encode_v1`].
+/// Deserialize a cube from bytes produced by [`encode`].
 pub fn decode(mut data: &[u8]) -> Result<ChangeCube, CubeError> {
     let buf = &mut data;
     let magic = take_bytes_in(buf, 8, "magic")?;
     if magic != MAGIC {
         return Err(CubeError::BadMagic);
     }
-    let version = take_u32_in(buf, "magic")?;
-    match version {
-        1 => decode_v1(buf),
-        2 | 3 => decode_framed(data, version),
+    match take_u32_in(buf, "magic")? {
+        VERSION => decode_framed(data),
         other => Err(CubeError::UnsupportedVersion(other)),
     }
 }
 
-/// Decode a checksummed v2/v3 body (`data` starts after magic + version,
-/// but the file checksum covers them, so they are re-derived here). The
-/// two versions differ only in the changes-section encoding: row-wise
-/// records in v2, contiguous columns in v3.
-fn decode_framed(body: &[u8], version: u32) -> Result<ChangeCube, CubeError> {
+/// Decode a checksummed body (`data` starts after magic + version, but
+/// the file checksum covers them, so they are re-derived here).
+fn decode_framed(body: &[u8]) -> Result<ChangeCube, CubeError> {
     // Pass 1 — frame walk. Establishes where every section lies and
     // reports truncation precisely (which section, how many bytes were
     // needed vs. present) before any checksum or content is examined.
@@ -223,7 +183,7 @@ fn decode_framed(body: &[u8], version: u32) -> Result<ChangeCube, CubeError> {
     let stored = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
     let mut hasher = Crc32::new();
     hasher.update(MAGIC);
-    hasher.update(&version.to_le_bytes());
+    hasher.update(&VERSION.to_le_bytes());
     hasher.update(&body[..body.len() - 4]);
     let computed = hasher.finalize();
     if stored != computed {
@@ -251,34 +211,7 @@ fn decode_framed(body: &[u8], version: u32) -> Result<ChangeCube, CubeError> {
     let pages = parse_interner_section(frames[3].0, "pages")?;
     let values = parse_interner_section(frames[4].0, "values")?;
     let entity_meta = parse_entity_meta_section(frames[5].0)?;
-    let changes = if version >= 3 {
-        parse_columnar_changes_section(frames[6].0)?
-    } else {
-        parse_changes_section(frames[6].0)?
-    };
-    ChangeCube::from_parts(
-        entities,
-        properties,
-        templates,
-        pages,
-        values,
-        entity_meta,
-        changes,
-    )
-}
-
-/// Decode the legacy unframed v1 body.
-fn decode_v1(buf: &mut &[u8]) -> Result<ChangeCube, CubeError> {
-    let entities = take_interner(buf, "entities")?;
-    let properties = take_interner(buf, "properties")?;
-    let templates = take_interner(buf, "templates")?;
-    let pages = take_interner(buf, "pages")?;
-    let values = take_interner(buf, "values")?;
-    let entity_meta = take_entity_meta(buf)?;
-    let changes = take_changes(buf)?;
-    if !buf.is_empty() {
-        return Err(CubeError::Corrupt(format!("{} trailing bytes", buf.len())));
-    }
+    let changes = parse_changes_section(frames[6].0)?;
     ChangeCube::from_parts(
         entities,
         properties,
@@ -340,16 +273,10 @@ fn parse_entity_meta_section(mut payload: &[u8]) -> Result<Vec<EntityMeta>, Cube
     Ok(meta)
 }
 
-fn parse_changes_section(mut payload: &[u8]) -> Result<Vec<Change>, CubeError> {
-    let changes = take_changes(&mut payload)?;
-    expect_consumed(payload, "changes")?;
-    Ok(changes)
-}
-
-/// Parse the v3 columnar changes payload: `u64 count`, then six column
+/// Parse the columnar changes payload: `u64 count`, then six column
 /// arrays (day i32, entity u32, property u32, value u32, kind u8,
 /// flags u8), each `count` elements long.
-fn parse_columnar_changes_section(mut payload: &[u8]) -> Result<Vec<Change>, CubeError> {
+fn parse_changes_section(mut payload: &[u8]) -> Result<Vec<Change>, CubeError> {
     const SECTION: &str = "changes";
     let buf = &mut payload;
     let n_changes = take_u64_in(buf, SECTION)?;
@@ -520,40 +447,6 @@ fn take_entity_meta(buf: &mut &[u8]) -> Result<Vec<EntityMeta>, CubeError> {
     Ok(entity_meta)
 }
 
-fn take_changes(buf: &mut &[u8]) -> Result<Vec<Change>, CubeError> {
-    const SECTION: &str = "changes";
-    let n_changes = take_u64_in(buf, SECTION)?;
-    // Compare in u128: a corrupt u64 count can exceed usize on 32-bit.
-    if (n_changes as u128) * 18 > buf.len() as u128 {
-        return Err(CubeError::Truncated {
-            section: SECTION,
-            need: ((n_changes as u128) * 18).min(usize::MAX as u128) as usize,
-            got: buf.len(),
-        });
-    }
-    let n_changes = n_changes as usize;
-    let mut changes = Vec::with_capacity(clamped_capacity(n_changes, buf.len(), 18));
-    for _ in 0..n_changes {
-        let day = Date::from_day_number(take_i32_in(buf, SECTION)?);
-        let entity = EntityId(take_u32_in(buf, SECTION)?);
-        let property = PropertyId(take_u32_in(buf, SECTION)?);
-        let value = ValueId(take_u32_in(buf, SECTION)?);
-        let kind_raw = take_u8_in(buf, SECTION)?;
-        let kind = ChangeKind::from_u8(kind_raw)
-            .ok_or_else(|| CubeError::Corrupt(format!("unknown change kind {kind_raw}")))?;
-        let flags = ChangeFlags::from_bits(take_u8_in(buf, SECTION)?);
-        changes.push(Change {
-            day,
-            entity,
-            property,
-            value,
-            kind,
-            flags,
-        });
-    }
-    Ok(changes)
-}
-
 fn take_bytes_in<'a>(
     buf: &mut &'a [u8],
     n: usize,
@@ -571,18 +464,9 @@ fn take_bytes_in<'a>(
     Ok(head)
 }
 
-fn take_u8_in(buf: &mut &[u8], section: &'static str) -> Result<u8, CubeError> {
-    Ok(take_bytes_in(buf, 1, section)?[0])
-}
-
 fn take_u32_in(buf: &mut &[u8], section: &'static str) -> Result<u32, CubeError> {
     let b = take_bytes_in(buf, 4, section)?;
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn take_i32_in(buf: &mut &[u8], section: &'static str) -> Result<i32, CubeError> {
-    let b = take_bytes_in(buf, 4, section)?;
-    Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 fn take_u64_in(buf: &mut &[u8], section: &'static str) -> Result<u64, CubeError> {
@@ -639,67 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load() {
-        let cube = sample_cube();
-        let v1 = encode_v1(&cube);
-        assert_eq!(&v1[8..12], &1u32.to_le_bytes());
-        let back = decode(&v1).unwrap();
-        assert_eq!(back.changes_vec(), cube.changes_vec());
-        assert_eq!(back.entity_name(EntityId(0)), "Ali");
-        // Upgrading: re-encoding a v1-loaded cube produces the same v3
-        // bytes as encoding the original.
-        assert_eq!(encode(&back), encode(&cube));
-    }
-
-    #[test]
-    fn v2_files_still_load() {
-        let cube = sample_cube();
-        let v2 = encode_v2(&cube);
-        assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-        let back = decode(&v2).unwrap();
-        assert_eq!(back.changes_vec(), cube.changes_vec());
-        assert_eq!(back.entity_name(EntityId(0)), "Ali");
-        assert!(back.change_at(1).flags.is_bot_reverted());
-        // Upgrading: re-encoding a v2-loaded cube produces the same v3
-        // bytes as encoding the original.
-        assert_eq!(encode(&back), encode(&cube));
-        // v2 and v3 carry the same payload bytes in different shapes,
-        // so the encodings differ but have identical length.
-        let v3 = encode(&cube);
-        assert_ne!(v2, v3);
-        assert_eq!(v2.len(), v3.len());
-    }
-
-    #[test]
-    fn v2_empty_cube_round_trips() {
-        let cube = ChangeCubeBuilder::new().finish();
-        let back = decode(&encode_v2(&cube)).unwrap();
-        assert_eq!(back.num_changes(), 0);
-    }
-
-    #[test]
-    fn v2_bit_flips_are_detected() {
-        let bytes = encode_v2(&sample_cube());
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut flipped = bytes.clone();
-                flipped[byte] ^= 1 << bit;
-                assert!(
-                    decode(&flipped).is_err(),
-                    "v2 bit flip at {byte}:{bit} went undetected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn v1_empty_cube_round_trips() {
-        let cube = ChangeCubeBuilder::new().finish();
-        let back = decode(&encode_v1(&cube)).unwrap();
-        assert_eq!(back.num_changes(), 0);
-    }
-
-    #[test]
     fn rejects_bad_magic() {
         assert!(matches!(decode(b"NOTACUBE"), Err(CubeError::BadMagic)));
         assert!(matches!(decode(b""), Err(CubeError::Truncated { .. })));
@@ -707,12 +530,15 @@ mod tests {
 
     #[test]
     fn rejects_unknown_version() {
-        let mut bytes = encode(&sample_cube()).to_vec();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            decode(&bytes),
-            Err(CubeError::UnsupportedVersion(99))
-        ));
+        // 1 and 2 are the retired unframed and row-wise layouts.
+        for version in [1u32, 2, 99] {
+            let mut bytes = encode(&sample_cube()).to_vec();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode(&bytes),
+                Err(CubeError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -722,17 +548,6 @@ mod tests {
             assert!(
                 decode(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_v1_truncation_anywhere() {
-        let bytes = encode_v1(&sample_cube());
-        for cut in 0..bytes.len() {
-            assert!(
-                decode(&bytes[..cut]).is_err(),
-                "v1 truncation at {cut} must fail"
             );
         }
     }
@@ -769,19 +584,29 @@ mod tests {
 
     #[test]
     fn huge_counts_do_not_allocate() {
-        // A v1 header whose interner count claims u32::MAX strings: the
-        // decoder must fail on missing bytes without reserving gigabytes.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode(&bytes), Err(CubeError::Truncated { .. })));
-        // Same for a v1 change count claiming u64::MAX records.
-        let cube = ChangeCubeBuilder::new().finish();
-        let mut v1 = encode_v1(&cube);
-        let len = v1.len();
-        v1[len - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(decode(&v1), Err(CubeError::Truncated { .. })));
+        // Correctly checksummed files whose entities section claims
+        // u32::MAX strings, or whose changes section claims u64::MAX
+        // records: the decoder must fail on missing bytes without
+        // reserving gigabytes.
+        let empty = ChangeCubeBuilder::new().finish();
+        let mut payloads = section_payloads(&empty);
+        payloads[0] = u32::MAX.to_le_bytes().to_vec();
+        assert!(matches!(
+            decode(&encode_framed(&payloads)),
+            Err(CubeError::Truncated {
+                section: "entities",
+                ..
+            })
+        ));
+        let mut payloads = section_payloads(&empty);
+        payloads[6] = u64::MAX.to_le_bytes().to_vec();
+        assert!(matches!(
+            decode(&encode_framed(&payloads)),
+            Err(CubeError::Truncated {
+                section: "changes",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -789,9 +614,6 @@ mod tests {
         let mut bytes = encode(&sample_cube()).to_vec();
         bytes.push(0);
         assert!(decode(&bytes).is_err());
-        let mut v1 = encode_v1(&sample_cube());
-        v1.push(0);
-        assert!(matches!(decode(&v1), Err(CubeError::Corrupt(_))));
     }
 
     #[test]
@@ -873,12 +695,6 @@ mod tests {
             let back = decode(&encode(&cube)).unwrap();
             prop_assert_eq!(back.changes_vec(), cube.changes_vec());
             prop_assert_eq!(encode(&back), encode(&cube));
-            // v1/v2 compatibility: the legacy encodings of the same cube
-            // decode to the same changes.
-            let v1_back = decode(&encode_v1(&cube)).unwrap();
-            prop_assert_eq!(v1_back.changes_vec(), cube.changes_vec());
-            let v2_back = decode(&encode_v2(&cube)).unwrap();
-            prop_assert_eq!(v2_back.changes_vec(), cube.changes_vec());
         }
 
         // The corrupt-bytes mirror of `xml::prop_never_panics`: random
@@ -910,28 +726,6 @@ mod tests {
             // Truncation: any proper prefix fails.
             let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
             prop_assert!(decode(&bytes[..cut]).is_err(), "truncation at {cut} decoded");
-        }
-
-        // v1 has no checksums, so a mutated v1 file may even decode to a
-        // different valid cube — but it must never panic.
-        #[test]
-        fn prop_corrupt_v1_bytes_never_panic(
-            mutations in proptest::collection::vec((0.0f64..1.0, 0u8..=255), 1..8),
-            cut_frac in 0.0f64..1.0,
-        ) {
-            let mut b = ChangeCubeBuilder::new();
-            let e = b.entity("e", "t", "p");
-            let prop = b.property("x");
-            b.change(Date::EPOCH + 1, e, prop, "v", ChangeKind::Create);
-            let bytes = encode_v1(&b.finish());
-            let mut mutated = bytes.clone();
-            for &(frac, val) in &mutations {
-                let pos = ((bytes.len() - 1) as f64 * frac) as usize;
-                mutated[pos] = val;
-            }
-            let _ = decode(&mutated);
-            let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-            let _ = decode(&mutated[..cut]);
         }
     }
 }

@@ -13,7 +13,8 @@
 //! * [`infobox`] — parse `{{Infobox …}}` templates out of wikitext
 //!   (balanced-brace aware) and render them back,
 //! * [`xml`] — a minimal, dependency-free reader/writer for the
-//!   `<mediawiki><page><revision>` export schema,
+//!   `<mediawiki><page><revision>` export schema; its one page parser
+//!   serves batch parsing and both stream modes,
 //! * [`diff`] — snapshot differencing: consecutive revisions of a page
 //!   become create/update/delete changes per infobox field,
 //! * [`stream`] / [`quarantine`] — incremental dump reading with an
@@ -53,6 +54,4 @@ pub use export::cube_to_dump;
 pub use infobox::{extract_infoboxes, render_infobox, Infobox};
 pub use quarantine::{ErrorBudget, QuarantineEntry, QuarantineReport};
 pub use stream::{PageStream, StreamError};
-pub use xml::{
-    parse_export, parse_export_lossy, render_export, PageDump, ParseLoss, Revision, XmlError,
-};
+pub use xml::{parse_export, render_export, PageDump, Revision, XmlError};

@@ -27,9 +27,12 @@
 //! fraction exceeds the budget the stream yields
 //! [`StreamError::BudgetExceeded`] and stops, so a catastrophically
 //! corrupt input cannot silently degrade into an empty cube.
+//!
+//! Both modes run the same page parser; they differ only in the policy
+//! applied to the errors it records.
 
 use crate::quarantine::{ErrorBudget, QuarantineEntry, QuarantineReport};
-use crate::xml::{parse_export, parse_export_lossy, PageDump, XmlError};
+use crate::xml::{parse_page, take_element, title_of, PageDump, XmlError};
 use std::io::BufRead;
 
 /// Errors from streaming: transport, markup, or an exhausted error
@@ -171,8 +174,13 @@ impl<R: BufRead> PageStream<R> {
                 }
             } else {
                 // No page start in the buffer: only keep a tail that could
-                // hold a split "<page" token, discard the rest.
-                let keep_from = self.buffer.len().saturating_sub(8);
+                // hold a split "<page" token, discard the rest. The cut
+                // moves back to a char boundary so multi-byte text between
+                // pages cannot split a character.
+                let mut keep_from = self.buffer.len().saturating_sub(8);
+                while !self.buffer.is_char_boundary(keep_from) {
+                    keep_from -= 1;
+                }
                 self.buffer.drain(..keep_from);
                 self.stream_pos += keep_from as u64;
             }
@@ -259,12 +267,8 @@ impl<R: BufRead> Iterator for PageStream<R> {
                             return Some(Err(StreamError::Xml(XmlError::UnclosedElement("page"))));
                         }
                         (Some((offset, len)), Mode::Lossy { .. }) => {
-                            let title = crate::xml::parse_export_lossy(&self.buffer)
-                                .1
-                                .first()
-                                .and_then(|l| l.title.clone());
                             let err = self.quarantine_page(QuarantineEntry {
-                                title,
+                                title: title_of(&self.buffer),
                                 byte_offset: offset,
                                 byte_len: len,
                                 error: "truncated dump: <page> element unclosed at end of input"
@@ -277,50 +281,49 @@ impl<R: BufRead> Iterator for PageStream<R> {
                 Scan::Page { offset, text } => (offset, text),
             };
 
-            match &self.mode {
-                Mode::Strict => {
-                    return match parse_export(&text) {
-                        Ok(mut pages) if pages.len() == 1 => {
-                            self.report.record_page_ok();
-                            obs.counter("ingest/pages_ok").incr();
-                            Some(Ok(pages.remove(0)))
-                        }
-                        Ok(_) => {
-                            self.done = true;
-                            Some(Err(StreamError::Xml(XmlError::UnclosedElement("page"))))
-                        }
-                        Err(e) => {
-                            self.done = true;
-                            Some(Err(StreamError::Xml(e)))
-                        }
-                    };
+            // One parse for both modes; they differ only in the policy
+            // applied to its errors.
+            let mut errors = Vec::new();
+            let page = match take_element(&text, "page") {
+                Ok(Some((body, _))) => parse_page(body, &mut errors),
+                Ok(None) => None,
+                Err(e) => {
+                    errors.push(e);
+                    None
                 }
-                Mode::Lossy { .. } => {
-                    let (mut pages, losses) = parse_export_lossy(&text);
-                    if pages.len() == 1 {
-                        let page = pages.remove(0);
-                        for loss in &losses {
-                            self.report.record_revision_skipped(QuarantineEntry {
-                                title: Some(page.title.clone()),
-                                byte_offset: offset,
-                                byte_len: text.len(),
-                                error: loss.error.to_string(),
-                            });
-                            obs.counter("ingest/revisions_skipped").incr();
-                        }
-                        self.report.record_page_ok();
-                        obs.counter("ingest/pages_ok").incr();
-                        return Some(Ok(page));
+            };
+            if matches!(self.mode, Mode::Strict) && (page.is_none() || !errors.is_empty()) {
+                self.done = true;
+                let e = errors
+                    .into_iter()
+                    .next()
+                    .unwrap_or(XmlError::UnclosedElement("page"));
+                return Some(Err(StreamError::Xml(e)));
+            }
+            match page {
+                Some(page) => {
+                    for e in &errors {
+                        self.report.record_revision_skipped(QuarantineEntry {
+                            title: Some(page.title.clone()),
+                            byte_offset: offset,
+                            byte_len: text.len(),
+                            error: e.to_string(),
+                        });
+                        obs.counter("ingest/revisions_skipped").incr();
                     }
+                    self.report.record_page_ok();
+                    obs.counter("ingest/pages_ok").incr();
+                    return Some(Ok(page));
+                }
+                None => {
                     // No page survived: quarantine the whole span and
                     // move on (or stop, if the budget just ran out).
-                    let error = losses
+                    let error = errors
                         .first()
-                        .map(|l| l.error.to_string())
+                        .map(|e| e.to_string())
                         .unwrap_or_else(|| "page yielded no parseable content".to_owned());
-                    let title = losses.iter().find_map(|l| l.title.clone());
                     if let Some(err) = self.quarantine_page(QuarantineEntry {
-                        title,
+                        title: None,
                         byte_offset: offset,
                         byte_len: text.len(),
                         error,
@@ -339,6 +342,7 @@ mod tests {
     use super::*;
     use crate::xml::render_export;
     use crate::xml::Revision;
+    use proptest::prelude::*;
     use std::io::BufReader;
     use wikistale_wikicube::Date;
 
@@ -452,6 +456,7 @@ mod tests {
         let xml = "<page><title>T</title>\
             <revision><timestamp>garbage</timestamp><text>skip</text></revision>\
             <revision><timestamp>2019-01-02T00:00:00Z</timestamp><text>keep</text></revision>\
+            <revision></revision>\
             </page>";
         let mut stream = PageStream::lossy(BufReader::new(xml.as_bytes()));
         let pages: Vec<PageDump> = (&mut stream).map(|p| p.unwrap()).collect();
@@ -461,8 +466,47 @@ mod tests {
         let report = stream.into_quarantine();
         assert_eq!(report.pages_ok, 1);
         assert_eq!(report.pages_quarantined, 0);
-        assert_eq!(report.revisions_skipped, 1);
-        assert_eq!(report.entries()[0].title.as_deref(), Some("T"));
+        assert_eq!(report.revisions_skipped, 2);
+        let entries = report.entries();
+        assert!(entries.iter().all(|e| e.title.as_deref() == Some("T")));
+        assert_eq!(
+            entries[0].error,
+            XmlError::BadTimestamp("garbage".to_owned()).to_string()
+        );
+        assert_eq!(entries[1].error, XmlError::MissingTimestamp.to_string());
+    }
+
+    #[test]
+    fn non_ascii_text_between_pages_is_skipped_cleanly() {
+        // The siteinfo block holds no <page>, so the stream trims it down
+        // to a short tail; the cut must not split a multi-byte character.
+        let xml = "<mediawiki>\n  <siteinfo>\n    <sitename>\n      Википедия\n    </sitename>\n  \
+            </siteinfo>\n  <page>\n    <title>Москва</title>\n    <revision>\n      \
+            <timestamp>2019-01-01T00:00:00Z</timestamp>\n      <text>x</text>\n    \
+            </revision>\n  </page>\n</mediawiki>\n";
+        let strict: Vec<PageDump> = PageStream::new(BufReader::new(xml.as_bytes()))
+            .map(|p| p.unwrap())
+            .collect();
+        let lossy: Vec<PageDump> = PageStream::lossy(BufReader::new(xml.as_bytes()))
+            .map(|p| p.unwrap())
+            .collect();
+        assert_eq!(strict.len(), 1);
+        assert_eq!(strict[0].title, "Москва");
+        assert_eq!(strict, lossy);
+    }
+
+    #[test]
+    fn lossy_names_the_error_of_an_unreadable_title() {
+        let xml = "<page><title>T<revision>\
+            <timestamp>2019-01-01T00:00:00Z</timestamp></revision></page>";
+        let mut stream = PageStream::lossy(BufReader::new(xml.as_bytes()));
+        assert_eq!(stream.by_ref().count(), 0);
+        let report = stream.into_quarantine();
+        assert_eq!(report.pages_quarantined, 1);
+        assert_eq!(
+            report.entries()[0].error,
+            XmlError::UnclosedElement("title").to_string()
+        );
     }
 
     #[test]
@@ -580,5 +624,21 @@ mod tests {
         let pages: Vec<PageDump> = (&mut stream).map(|p| p.unwrap()).collect();
         assert_eq!(pages.len(), 36);
         assert_eq!(stream.quarantine().pages_quarantined, 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_lossy_never_panics_and_matches_strict_when_clean(xml in ".{0,200}") {
+            let strict: Result<Vec<PageDump>, _> =
+                PageStream::new(BufReader::new(xml.as_bytes())).collect();
+            let mut stream = PageStream::lossy(BufReader::new(xml.as_bytes()));
+            let lossy: Result<Vec<PageDump>, _> = (&mut stream).collect();
+            if let Ok(strict) = strict {
+                if stream.quarantine().is_clean() {
+                    prop_assert_eq!(lossy.ok(), Some(strict));
+                }
+            }
+        }
     }
 }

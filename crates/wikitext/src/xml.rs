@@ -56,113 +56,40 @@ impl fmt::Display for XmlError {
 impl std::error::Error for XmlError {}
 
 /// Parse a MediaWiki XML export into page histories. Revisions of each
-/// page are sorted by date.
+/// page are sorted by date. The first malformed page or revision fails
+/// the whole parse.
 pub fn parse_export(xml: &str) -> Result<Vec<PageDump>, XmlError> {
     let mut pages = Vec::new();
     let mut rest = xml;
     while let Some((page_body, after)) = take_element(rest, "page")? {
         rest = after;
-        let title = match take_element(page_body, "title")? {
-            Some((t, _)) => unescape(t.trim()),
-            None => return Err(XmlError::MissingTitle),
-        };
-        let mut revisions = Vec::new();
-        let mut rev_rest = page_body;
-        while let Some((rev_body, after_rev)) = take_element(rev_rest, "revision")? {
-            rev_rest = after_rev;
-            let ts = match take_element(rev_body, "timestamp")? {
-                Some((t, _)) => t.trim().to_owned(),
-                None => return Err(XmlError::MissingTimestamp),
-            };
-            let date = parse_timestamp(&ts)?;
-            let text = match take_element(rev_body, "text")? {
-                Some((t, _)) => unescape(t),
-                None => String::new(),
-            };
-            revisions.push(Revision { date, text });
+        let mut errors = Vec::new();
+        let page = parse_page(page_body, &mut errors);
+        if let Some(e) = errors.into_iter().next() {
+            return Err(e);
         }
-        revisions.sort_by_key(|r| r.date);
-        pages.push(PageDump { title, revisions });
+        pages.extend(page);
     }
     Ok(pages)
 }
 
-/// One loss recorded by [`parse_export_lossy`]: what was skipped and
-/// why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseLoss {
-    /// Zero-based index of the page (in scan order) the loss belongs to.
-    pub page_index: usize,
-    /// Title of the affected page, when one could be extracted.
-    pub title: Option<String>,
-    /// Whether a whole page (vs. a single revision) was dropped.
-    pub whole_page: bool,
-    /// The parse error that caused the skip.
-    pub error: XmlError,
-}
-
-/// Parse a MediaWiki XML export in recovery mode: malformed revisions
-/// are dropped from their page, pages without a recoverable structure
-/// are dropped entirely, and every skip is reported in the loss list —
-/// parsing itself never fails and never panics.
+/// Parse the body of one `<page>` element — the only page parser, shared
+/// by [`parse_export`] and both modes of [`crate::stream::PageStream`].
 ///
-/// On well-formed input this returns exactly what [`parse_export`]
-/// returns, with an empty loss list.
-pub fn parse_export_lossy(xml: &str) -> (Vec<PageDump>, Vec<ParseLoss>) {
-    let mut pages = Vec::new();
-    let mut losses = Vec::new();
-    let mut rest = xml;
-    let mut index = 0usize;
-    loop {
-        match take_element(rest, "page") {
-            Ok(None) => break,
-            Err(e) => {
-                // An unclosed <page> has no recoverable boundary; record
-                // the remainder as one loss and stop scanning.
-                losses.push(ParseLoss {
-                    page_index: index,
-                    title: title_of(rest),
-                    whole_page: true,
-                    error: e,
-                });
-                break;
-            }
-            Ok(Some((page_body, after))) => {
-                rest = after;
-                lossy_page(page_body, index, &mut pages, &mut losses);
-                index += 1;
-            }
+/// A malformed revision is dropped and its error appended to `errors`,
+/// in input order; an unclosed `<revision>` ends the revision scan. A
+/// page without a readable `<title>` yields `None` (its error recorded).
+/// Surviving revisions are sorted by date. Never panics.
+pub(crate) fn parse_page(page_body: &str, errors: &mut Vec<XmlError>) -> Option<PageDump> {
+    let title = match take_element(page_body, "title") {
+        Ok(Some((t, _))) => unescape(t.trim()),
+        Ok(None) => {
+            errors.push(XmlError::MissingTitle);
+            return None;
         }
-    }
-    (pages, losses)
-}
-
-/// Best-effort title extraction from a (possibly malformed) page body.
-fn title_of(body: &str) -> Option<String> {
-    match take_element(body, "title") {
-        Ok(Some((t, _))) => Some(unescape(t.trim())),
-        _ => None,
-    }
-}
-
-/// Parse one page body in recovery mode, appending the surviving page
-/// (if any) to `pages` and every skip to `losses`.
-fn lossy_page(
-    page_body: &str,
-    index: usize,
-    pages: &mut Vec<PageDump>,
-    losses: &mut Vec<ParseLoss>,
-) {
-    let title = match title_of(page_body) {
-        Some(t) => t,
-        None => {
-            losses.push(ParseLoss {
-                page_index: index,
-                title: None,
-                whole_page: true,
-                error: XmlError::MissingTitle,
-            });
-            return;
+        Err(e) => {
+            errors.push(e);
+            return None;
         }
     };
     let mut revisions = Vec::new();
@@ -170,36 +97,26 @@ fn lossy_page(
     loop {
         match take_element(rev_rest, "revision") {
             Ok(None) => break,
+            Ok(Some((rev_body, after_rev))) => {
+                rev_rest = after_rev;
+                match parse_revision(rev_body) {
+                    Ok(rev) => revisions.push(rev),
+                    Err(e) => errors.push(e),
+                }
+            }
             Err(e) => {
                 // Unclosed <revision>: the rest of the page body has no
                 // revision boundary; keep what parsed so far.
-                losses.push(ParseLoss {
-                    page_index: index,
-                    title: Some(title.clone()),
-                    whole_page: false,
-                    error: e,
-                });
+                errors.push(e);
                 break;
-            }
-            Ok(Some((rev_body, after_rev))) => {
-                rev_rest = after_rev;
-                match lossy_revision(rev_body) {
-                    Ok(rev) => revisions.push(rev),
-                    Err(e) => losses.push(ParseLoss {
-                        page_index: index,
-                        title: Some(title.clone()),
-                        whole_page: false,
-                        error: e,
-                    }),
-                }
             }
         }
     }
     revisions.sort_by_key(|r| r.date);
-    pages.push(PageDump { title, revisions });
+    Some(PageDump { title, revisions })
 }
 
-fn lossy_revision(rev_body: &str) -> Result<Revision, XmlError> {
+fn parse_revision(rev_body: &str) -> Result<Revision, XmlError> {
     let ts = match take_element(rev_body, "timestamp")? {
         Some((t, _)) => t.trim().to_owned(),
         None => return Err(XmlError::MissingTimestamp),
@@ -210,6 +127,14 @@ fn lossy_revision(rev_body: &str) -> Result<Revision, XmlError> {
         None => String::new(),
     };
     Ok(Revision { date, text })
+}
+
+/// Best-effort title extraction from a (possibly malformed) page body.
+pub(crate) fn title_of(body: &str) -> Option<String> {
+    match take_element(body, "title") {
+        Ok(Some((t, _))) => Some(unescape(t.trim())),
+        _ => None,
+    }
 }
 
 /// Render page histories back into a MediaWiki XML export.
@@ -239,7 +164,7 @@ pub fn render_export(pages: &[PageDump]) -> String {
 /// Find the next `<name …>…</name>` element in `input`; returns the inner
 /// body and the remainder after the close tag. Self-closing elements
 /// (`<name/>`) yield an empty body.
-fn take_element<'a>(
+pub(crate) fn take_element<'a>(
     input: &'a str,
     name: &'static str,
 ) -> Result<Option<(&'a str, &'a str)>, XmlError> {
@@ -478,80 +403,5 @@ mod tests {
         fn prop_never_panics(xml in ".{0,200}") {
             let _ = parse_export(&xml);
         }
-
-        #[test]
-        fn prop_lossy_never_panics_and_matches_strict_when_clean(xml in ".{0,200}") {
-            let (pages, losses) = parse_export_lossy(&xml);
-            if let Ok(strict) = parse_export(&xml) {
-                if losses.is_empty() {
-                    prop_assert_eq!(pages, strict);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lossy_equals_strict_on_wellformed_input() {
-        let (pages, losses) = parse_export_lossy(SAMPLE);
-        assert!(losses.is_empty(), "{losses:?}");
-        assert_eq!(pages, parse_export(SAMPLE).unwrap());
-    }
-
-    #[test]
-    fn lossy_skips_bad_revision_keeps_page() {
-        let xml = "<page><title>T</title>\
-            <revision><timestamp>junk</timestamp><text>a</text></revision>\
-            <revision><timestamp>2019-01-02T00:00:00Z</timestamp><text>b</text></revision>\
-            <revision></revision>\
-            </page>";
-        let (pages, losses) = parse_export_lossy(xml);
-        assert_eq!(pages.len(), 1);
-        assert_eq!(pages[0].revisions.len(), 1);
-        assert_eq!(pages[0].revisions[0].text, "b");
-        assert_eq!(losses.len(), 2);
-        assert!(losses.iter().all(|l| !l.whole_page));
-        assert!(losses.iter().all(|l| l.title.as_deref() == Some("T")));
-        assert!(matches!(losses[0].error, XmlError::BadTimestamp(_)));
-        assert!(matches!(losses[1].error, XmlError::MissingTimestamp));
-    }
-
-    #[test]
-    fn lossy_drops_titleless_page_keeps_neighbors() {
-        let xml = "<page><revision><timestamp>2019-01-01T00:00:00Z</timestamp></revision></page>\
-            <page><title>Good</title>\
-            <revision><timestamp>2019-01-01T00:00:00Z</timestamp><text>x</text></revision></page>";
-        let (pages, losses) = parse_export_lossy(xml);
-        assert_eq!(pages.len(), 1);
-        assert_eq!(pages[0].title, "Good");
-        assert_eq!(losses.len(), 1);
-        assert!(losses[0].whole_page);
-        assert_eq!(losses[0].page_index, 0);
-        assert_eq!(losses[0].error, XmlError::MissingTitle);
-    }
-
-    #[test]
-    fn lossy_unclosed_page_records_loss_and_stops() {
-        let xml = "<page><title>A</title>\
-            <revision><timestamp>2019-01-01T00:00:00Z</timestamp></revision></page>\
-            <page><title>B</title>";
-        let (pages, losses) = parse_export_lossy(xml);
-        assert_eq!(pages.len(), 1);
-        assert_eq!(pages[0].title, "A");
-        assert_eq!(losses.len(), 1);
-        assert!(losses[0].whole_page);
-        assert_eq!(losses[0].title.as_deref(), Some("B"));
-        assert_eq!(losses[0].error, XmlError::UnclosedElement("page"));
-    }
-
-    #[test]
-    fn lossy_unclosed_revision_keeps_earlier_revisions() {
-        let xml = "<page><title>T</title>\
-            <revision><timestamp>2019-01-01T00:00:00Z</timestamp><text>keep</text></revision>\
-            <revision><timestamp>2019-01-02T00:00:00Z</timestamp>";
-        // The outer <page> is unclosed, so the whole page is a loss.
-        let (pages, losses) = parse_export_lossy(xml);
-        assert!(pages.is_empty());
-        assert_eq!(losses.len(), 1);
-        assert_eq!(losses[0].title.as_deref(), Some("T"));
     }
 }

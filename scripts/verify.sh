@@ -30,7 +30,7 @@ run cargo test -q --offline -p wikistale-cli --test differential
 # differential suite above; this names them so a day-list or rebuild
 # regression fails on its own line.
 run cargo test -q --offline -p wikistale-cli --test differential -- \
-    day_list columnar weekly_transactions binio_v2
+    day_list columnar weekly_transactions
 
 # Serving gates: the query server's unit suite (admission, cache,
 # deadline, byte-determinism) plus the end-to-end suite that drives the

@@ -227,6 +227,10 @@ fn ingest_parses_a_dump() {
     <revision><timestamp>2019-01-01T00:00:00Z</timestamp>
       <text>{{Infobox settlement | population = 9}}</text></revision>
   </page>
+  <page><title>Talk:London</title>
+    <revision><timestamp>2018-06-01T00:00:00Z</timestamp>
+      <text>Is the population figure current?</text></revision>
+  </page>
 </mediawiki>"#,
     )
     .unwrap();
@@ -239,7 +243,24 @@ fn ingest_parses_a_dump() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("ingested 1 pages"));
+    assert!(stdout(&out).contains("1 non-article pages skipped"));
     assert!(cube.exists());
+
+    let all_cube = dir.join("all.wcube");
+    let out = wikistale(&[
+        "ingest",
+        "--xml",
+        xml.to_str().unwrap(),
+        "--out",
+        all_cube.to_str().unwrap(),
+        "--all-namespaces",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("ingested 2 pages"),
+        "{}",
+        stdout(&out)
+    );
 
     let out = wikistale(&["stats", "--in", cube.to_str().unwrap()]);
     assert!(out.status.success());

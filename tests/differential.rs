@@ -500,31 +500,6 @@ fn weekly_transactions_from_day_store_match_row_scan() {
     assert_eq!(got, reference);
 }
 
-/// Format compatibility: a v2 (row-wise) binio artifact decodes to the
-/// same cube, upgrades to the identical v3 bytes, and yields identical
-/// predictions at --threads {1, 4}.
-#[test]
-fn binio_v2_artifacts_load_and_predict_identically() {
-    let corpus = generate(&SynthConfig::tiny());
-    let (filtered, _) = FilterPipeline::paper().apply(&corpus.cube);
-    let split = EvalSplit::for_span(filtered.time_span().unwrap()).unwrap();
-    let v2 = binio::encode_v2(&filtered);
-    let from_v2 = binio::decode(&v2).expect("v2 artifact decodes");
-    assert_eq!(binio::encode(&from_v2), binio::encode(&filtered));
-    let reference = with_exec(1, 0, || {
-        run_paper_evaluation(&filtered, &split, &ExperimentConfig::default())
-    });
-    for threads in [1usize, 4] {
-        let got = with_exec(threads, 0, || {
-            run_paper_evaluation(&from_v2, &split, &ExperimentConfig::default())
-        });
-        assert_eq!(
-            got, reference,
-            "v2-loaded cube predictions diverged at threads={threads}"
-        );
-    }
-}
-
 /// Scheduling-order stress: many repetitions at an odd worker count with
 /// single-element chunks — the configuration most likely to surface a
 /// merge-order or termination bug. Run with
