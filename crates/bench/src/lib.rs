@@ -1,8 +1,8 @@
 //! # wikistale-bench
 //!
 //! The experiment harness: one binary per table / figure of the paper
-//! (see `DESIGN.md` for the experiment index) plus criterion benches for
-//! the performance-critical kernels.
+//! (see `DESIGN.md` for the experiment index). Timing lives in the
+//! `perfbench` package (`BENCHMARK.json`), not here.
 //!
 //! Every binary accepts `--scale tiny|small|medium` (default `small`) and
 //! `--seed N`; the corpus, filter pipeline, and split are shared through

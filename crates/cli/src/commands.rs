@@ -11,6 +11,7 @@ use wikistale_core::experiment::{
 use wikistale_core::filters::FilterPipeline;
 use wikistale_core::predictors::DistanceNorm;
 use wikistale_core::report;
+use wikistale_core::scoring::MAX_WINDOW_DAYS;
 use wikistale_core::split::EvalSplit;
 use wikistale_synth::SynthConfig;
 use wikistale_wikicube::{binio, ChangeCube, CorpusStats, CubeIndex, Date, DateRange};
@@ -722,8 +723,10 @@ fn cmd_monitor(args: &Args) -> Result<(), CliError> {
         .parse()
         .map_err(|e| CliError::Usage(format!("--at: {e}")))?;
     let window: u32 = get_parsed::<u32>(args, "window")?.unwrap_or(7);
-    if window == 0 {
-        return Err(CliError::Usage("--window must be positive".into()));
+    if !(1..=MAX_WINDOW_DAYS).contains(&window) {
+        return Err(CliError::Usage(format!(
+            "--window must be in 1..={MAX_WINDOW_DAYS} days, got {window}"
+        )));
     }
     let limit: usize = get_parsed::<usize>(args, "limit")?.unwrap_or(25);
     let span = cube
@@ -1154,16 +1157,22 @@ mod tests {
         // Signed date components must be rejected at the flag layer too
         // (Date::from_str used to accept `+2018-+09-+01`).
         assert!(run_words(&["monitor", "--in", raw, "--at", "+2019-+06-+01"]).is_err());
-        assert!(run_words(&[
-            "monitor",
-            "--in",
-            raw,
-            "--at",
-            "2019-06-01",
-            "--window",
-            "0"
-        ])
-        .is_err());
+        // Windows outside 1..=365 are usage errors, like `/v1/stale`'s;
+        // 4294967295 used to wrap to an empty window after `--at`.
+        for window in ["0", "366", "4294967295"] {
+            let err = run_words(&[
+                "monitor",
+                "--in",
+                raw,
+                "--at",
+                "2019-06-01",
+                "--window",
+                window,
+            ])
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--window {window}: {err}");
+            assert!(err.to_string().contains("1..=365"), "{err}");
+        }
         assert!(run_words(&["monitor", "--in", raw, "--at", "1990-01-01"]).is_err());
         std::fs::remove_dir_all(std::env::temp_dir().join("wikistale-cli-test2")).ok();
     }

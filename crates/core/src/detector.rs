@@ -19,13 +19,12 @@
 //! }
 //! ```
 
-use crate::ensemble::or_ensemble;
 use crate::experiment::{ExperimentConfig, TrainedPredictors};
-use crate::explain::{explain, Explanation, Reason};
+use crate::explain::Explanation;
 use crate::filters::{FilterPipeline, FilterReport};
-use crate::predictions::PredictionSet;
-use crate::predictor::{ChangePredictor, EvalData};
+use crate::predictor::EvalData;
 use crate::predictors::{SeasonalParams, SeasonalPredictor};
+use crate::scoring::stale_flags;
 use wikistale_wikicube::{ChangeCube, CubeIndex, Date, DateRange};
 
 /// Configuration of the full detector stack.
@@ -149,58 +148,20 @@ impl StalenessDetector {
     /// predictor expected to change inside `window` that did not visibly
     /// change there, each with its explanation.
     pub fn flag(&self, window: DateRange) -> Vec<Explanation> {
-        let data = self.data();
-        let granularity = window.len_days().max(1);
-        let fc = self.trained.field_corr.predict(&data, window, granularity);
-        let ar = self.trained.assoc.predict(&data, window, granularity);
-        let mut positives: PredictionSet = or_ensemble(&fc, &ar);
-        if let Some(seasonal) = &self.seasonal {
-            positives = or_ensemble(&positives, &seasonal.predict(&data, window, granularity));
-        }
-
-        let mut flags = Vec::new();
-        for &(pos, _) in positives.items() {
-            let pos = pos as usize;
-            // A field the reader already sees freshly updated needs no
-            // banner (in the §5 protocol those are the true positives).
-            if self.index.changed_in(pos, window.start(), window.end()) {
-                continue;
-            }
-            let field = self.index.field(pos);
-            let mut explanation = explain(
-                &data,
-                &self.trained.field_corr,
-                &self.trained.assoc,
-                field,
-                window,
-            )
-            .unwrap_or(Explanation {
-                field,
-                window,
-                reasons: Vec::new(),
-            });
-            if let Some(seasonal) = &self.seasonal {
-                let days = self.index.days(pos).to_vec();
-                if let Some((hits, observable)) = seasonal.recurrence(&days, window) {
-                    // Only attach when it actually carries signal.
-                    if observable >= seasonal.params.min_years && hits > 0 {
-                        explanation
-                            .reasons
-                            .push(Reason::AnnualRecurrence { hits, observable });
-                    }
-                }
-            }
-            if !explanation.reasons.is_empty() {
-                flags.push(explanation);
-            }
-        }
-        flags
+        stale_flags(
+            &self.data(),
+            &self.trained,
+            self.seasonal.as_ref(),
+            None,
+            window,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::Reason;
     use wikistale_synth::{generate, SynthConfig};
 
     fn detector() -> (StalenessDetector, wikistale_synth::SynthCorpus) {

@@ -14,10 +14,15 @@
 
 use crate::ensemble::{and_ensemble, or_ensemble};
 use crate::experiment::TrainedPredictors;
-use crate::explain::{explain, Explanation};
+use crate::explain::{explain, Explanation, Reason};
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
+use crate::predictors::SeasonalPredictor;
 use wikistale_wikicube::{Date, DateRange, FieldId, PageId};
+
+/// The longest staleness window, in days, a flag query accepts (the
+/// `/v1/stale` route and the `monitor` command). Windows run 1..=this.
+pub const MAX_WINDOW_DAYS: u32 = 365;
 
 /// The six per-granularity prediction sets of §5: four predictors plus
 /// the two ensembles.
@@ -252,43 +257,77 @@ impl<'a> Scorer<'a> {
     /// [`crate::detector::StalenessDetector::flag`], restricted to one
     /// page.
     pub fn page_flags(&self, page: PageId, window: DateRange) -> Vec<Explanation> {
-        let granularity = window.len_days().max(1);
-        let fc = self
-            .predictors
-            .field_corr
-            .predict(&self.data, window, granularity);
-        let ar = self
-            .predictors
-            .assoc
-            .predict(&self.data, window, granularity);
-        let positives = or_ensemble(&fc, &ar);
-        let mut flags = Vec::new();
-        for &pos in self.data.index.fields_on_page(page) {
-            let pos = pos as usize;
-            if !positives.contains(pos as u32, 0) {
-                continue;
-            }
-            // A field the reader already sees freshly updated needs no
-            // banner (in the §5 protocol those are the true positives).
-            if self
-                .data
-                .index
-                .changed_in(pos, window.start(), window.end())
-            {
-                continue;
-            }
-            let field = self.data.index.field(pos);
-            if let Some(explanation) = explain(
-                &self.data,
-                &self.predictors.field_corr,
-                &self.predictors.assoc,
-                field,
-                window,
-            ) {
-                flags.push(explanation);
+        stale_flags(&self.data, self.predictors, None, Some(page), window)
+    }
+}
+
+/// The one banner decision behind [`Scorer::page_flags`] and
+/// [`crate::detector::StalenessDetector::flag`]: the OR-ensemble positives
+/// for `window` (plus `seasonal`'s, when given) that did not visibly change
+/// inside it and have at least one reason. With `page`, only that page's
+/// fields are walked; without, every positive is.
+pub(crate) fn stale_flags(
+    data: &EvalData<'_>,
+    predictors: &TrainedPredictors,
+    seasonal: Option<&SeasonalPredictor>,
+    page: Option<PageId>,
+    window: DateRange,
+) -> Vec<Explanation> {
+    let granularity = window.len_days().max(1);
+    let fc = predictors.field_corr.predict(data, window, granularity);
+    let ar = predictors.assoc.predict(data, window, granularity);
+    let mut positives = or_ensemble(&fc, &ar);
+    if let Some(seasonal) = seasonal {
+        positives = or_ensemble(&positives, &seasonal.predict(data, window, granularity));
+    }
+
+    let index = data.index;
+    let flag = |pos: u32| {
+        let pos = pos as usize;
+        // A field the reader already sees freshly updated needs no
+        // banner (in the §5 protocol those are the true positives).
+        if index.changed_in(pos, window.start(), window.end()) {
+            return None;
+        }
+        let field = index.field(pos);
+        let mut explanation = explain(
+            data,
+            &predictors.field_corr,
+            &predictors.assoc,
+            field,
+            window,
+        )
+        .unwrap_or(Explanation {
+            field,
+            window,
+            reasons: Vec::new(),
+        });
+        if let Some(seasonal) = seasonal {
+            let days = index.days(pos).to_vec();
+            if let Some((hits, observable)) = seasonal.recurrence(&days, window) {
+                // Only attach when it actually carries signal.
+                if observable >= seasonal.params.min_years && hits > 0 {
+                    explanation
+                        .reasons
+                        .push(Reason::AnnualRecurrence { hits, observable });
+                }
             }
         }
-        flags
+        (!explanation.reasons.is_empty()).then_some(explanation)
+    };
+    match page {
+        Some(page) => index
+            .fields_on_page(page)
+            .iter()
+            .copied()
+            .filter(|&pos| positives.contains(pos, 0))
+            .filter_map(flag)
+            .collect(),
+        None => positives
+            .items()
+            .iter()
+            .filter_map(|&(pos, _)| flag(pos))
+            .collect(),
     }
 }
 
@@ -398,20 +437,28 @@ mod tests {
         let scorer = Scorer::new(data, &predictors, split.test);
         // Sweep the test year week by week across all pages; every flag
         // must belong to the queried page, carry reasons, and point at a
-        // field that did not change in the window.
+        // field that did not change in the window. A page's flags must
+        // also equal the whole-cube flags restricted to that page.
         let mut total = 0;
         for week in 0..52 {
             let start = split.test.start() + week * 7;
             let window = DateRange::with_len(start, 7);
+            let whole = stale_flags(&data, &predictors, None, None, window);
             for page in 0..filtered.num_pages() {
                 let page = wikistale_wikicube::PageId(page as u32);
-                for flag in scorer.page_flags(page, window) {
+                let flags = scorer.page_flags(page, window);
+                for flag in &flags {
                     assert_eq!(data.cube.page_of(flag.field.entity), page);
                     assert!(!flag.reasons.is_empty());
                     let pos = index.position(flag.field).unwrap();
                     assert!(!index.changed_in(pos, window.start(), window.end()));
                     total += 1;
                 }
+                let restricted: Vec<&Explanation> = whole
+                    .iter()
+                    .filter(|flag| data.cube.page_of(flag.field.entity) == page)
+                    .collect();
+                assert_eq!(flags.iter().collect::<Vec<_>>(), restricted);
             }
         }
         assert!(total > 0, "no page flags across the test year");

@@ -21,7 +21,7 @@ use crate::artifacts::ServeArtifacts;
 use crate::cache::ResponseCache;
 use crate::http::{Request, Response};
 use wikistale_core::explain::{Explanation, Reason};
-use wikistale_core::scoring::{PredictedSets, ScoreQuery};
+use wikistale_core::scoring::{PredictedSets, ScoreQuery, MAX_WINDOW_DAYS};
 use wikistale_obs::json::{self, Value};
 use wikistale_obs::MetricsRegistry;
 use wikistale_wikicube::{Date, DateRange};
@@ -159,9 +159,12 @@ impl App {
         let window_days = match req.query_param("window") {
             None => 7i64,
             Some(text) => match text.parse::<i64>() {
-                Ok(days) if (1..=365).contains(&days) => days,
+                Ok(days) if (1..=i64::from(MAX_WINDOW_DAYS)).contains(&days) => days,
                 Ok(days) => {
-                    return Response::error(400, &format!("window of {days} days out of 1..=365"))
+                    return Response::error(
+                        400,
+                        &format!("window of {days} days out of 1..={MAX_WINDOW_DAYS}"),
+                    )
                 }
                 Err(e) => return Response::error(400, &format!("bad 'window': {e}")),
             },

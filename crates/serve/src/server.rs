@@ -103,8 +103,8 @@ pub struct Server {
 
 impl Server {
     /// A server over `artifacts` with `config`. The artifacts are
-    /// shared (`Arc`) so a self-hosting load generator can draw its
-    /// request mix from the same loaded generation.
+    /// shared (`Arc`) so the caller can keep reading the loaded
+    /// generation, e.g. to check served bodies against batch output.
     pub fn new(artifacts: Arc<ServeArtifacts>, config: ServerConfig) -> Server {
         let app = Arc::new(App::new(
             artifacts,
