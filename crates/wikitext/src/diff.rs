@@ -17,7 +17,8 @@
 
 use crate::infobox::{canonical_template_name, extract_infoboxes};
 use crate::xml::PageDump;
-use wikistale_wikicube::{ChangeCube, ChangeCubeBuilder, ChangeKind, FxHashMap};
+use std::collections::HashMap;
+use wikistale_wikicube::{ChangeCube, ChangeCubeBuilder, ChangeKind, EntityId};
 
 /// Diff all pages' revision histories into a change cube.
 pub fn build_cube(pages: &[PageDump]) -> ChangeCube {
@@ -92,34 +93,86 @@ pub fn is_article_title(title: &str) -> bool {
         .any(|prefix| title.starts_with(prefix))
 }
 
-/// Key identifying one infobox within a page across revisions.
-type BoxKey = (String, usize); // (template, occurrence index)
+/// Key identifying one infobox within a page across revisions: the slot
+/// of its canonical template name in [`PageMemo::canonical`] and its
+/// occurrence index among the revision's boxes of that template.
+type BoxKey = (usize, usize);
+
+/// A parsed revision: its infoboxes' keys and parameters.
+type Snapshot = Vec<(BoxKey, Vec<(String, String)>)>;
+
+/// What [`diff_page`] derives from template names, memoized for one
+/// page: its revisions mostly repeat the same boxes, so canonical names
+/// and entity ids are worked out once per page, not once per revision.
+#[derive(Default)]
+struct PageMemo {
+    /// Template names as written, with their slot in `canonical`. The
+    /// names come from the dump, so the map keeps the default hasher.
+    spellings: HashMap<String, usize>,
+    /// Canonical template names, in order of first sight.
+    canonical: Vec<String>,
+    /// Registered entities by box key.
+    entities: HashMap<BoxKey, EntityId>,
+}
+
+impl PageMemo {
+    /// Slot of the canonical form of the template name `written`.
+    fn template(&mut self, written: &str) -> usize {
+        if let Some(&slot) = self.spellings.get(written) {
+            return slot;
+        }
+        let canonical = canonical_template_name(written);
+        let slot = match self.canonical.iter().position(|c| *c == canonical) {
+            Some(slot) => slot,
+            None => {
+                self.canonical.push(canonical);
+                self.canonical.len() - 1
+            }
+        };
+        self.spellings.insert(written.to_owned(), slot);
+        slot
+    }
+
+    /// The entity of box `key` on the page titled `title`, registered
+    /// with `builder` on first use.
+    fn entity(&mut self, builder: &mut ChangeCubeBuilder, title: &str, key: BoxKey) -> EntityId {
+        if let Some(&entity) = self.entities.get(&key) {
+            return entity;
+        }
+        let template = &self.canonical[key.0];
+        let entity = builder.entity(&entity_name(title, template, key.1), template, title);
+        self.entities.insert(key, entity);
+        entity
+    }
+}
 
 fn diff_page(builder: &mut ChangeCubeBuilder, page: &PageDump) {
     // Snapshots keep parameters in source order so interning — and hence
     // the produced cube — is deterministic for a given input.
-    let mut prev: Vec<(BoxKey, Vec<(String, String)>)> = Vec::new();
+    let mut memo = PageMemo::default();
+    let mut prev: Snapshot = Vec::new();
+    let mut occurrence: Vec<usize> = Vec::new();
     for rev in &page.revisions {
-        let mut current: Vec<(BoxKey, Vec<(String, String)>)> = Vec::new();
-        let mut occurrence: FxHashMap<String, usize> = FxHashMap::default();
+        let mut current: Snapshot = Vec::new();
+        occurrence.clear();
         for infobox in extract_infoboxes(&rev.text) {
             // Identity is the canonical template name, so casing or
             // underscore variations across revisions do not fragment a
             // field's history into several entities.
-            let template = canonical_template_name(&infobox.template);
-            let idx = occurrence.entry(template.clone()).or_insert(0);
-            let key = (template, *idx);
-            *idx += 1;
-            current.push((key, infobox.params));
+            let template = memo.template(&infobox.template);
+            if occurrence.len() <= template {
+                occurrence.resize(template + 1, 0);
+            }
+            current.push(((template, occurrence[template]), infobox.params));
+            occurrence[template] += 1;
         }
 
-        let lookup = |snapshot: &[(BoxKey, Vec<(String, String)>)], key: &BoxKey| {
-            snapshot.iter().position(|(k, _)| k == key)
-        };
+        let lookup =
+            |snapshot: &Snapshot, key: &BoxKey| snapshot.iter().position(|(k, _)| k == key);
 
         // Creates, updates, and per-parameter deletes.
         for (key, params) in &current {
-            let entity = builder.entity(&entity_name(&page.title, key), &key.0, &page.title);
+            let entity = memo.entity(builder, &page.title, *key);
             let old = lookup(&prev, key).map(|i| &prev[i].1);
             for (param, value) in params {
                 let property = builder.property(param);
@@ -148,7 +201,7 @@ fn diff_page(builder: &mut ChangeCubeBuilder, page: &PageDump) {
         // Whole infoboxes that disappeared.
         for (key, old_params) in &prev {
             if lookup(&current, key).is_none() {
-                let entity = builder.entity(&entity_name(&page.title, key), &key.0, &page.title);
+                let entity = memo.entity(builder, &page.title, *key);
                 for (param, _) in old_params {
                     let property = builder.property(param);
                     builder.change(rev.date, entity, property, "", ChangeKind::Delete);
@@ -160,11 +213,11 @@ fn diff_page(builder: &mut ChangeCubeBuilder, page: &PageDump) {
     }
 }
 
-fn entity_name(title: &str, key: &BoxKey) -> String {
-    if key.1 == 0 {
-        format!("{title} § {}", key.0)
+fn entity_name(title: &str, template: &str, occurrence: usize) -> String {
+    if occurrence == 0 {
+        format!("{title} § {template}")
     } else {
-        format!("{title} § {} #{}", key.0, key.1)
+        format!("{title} § {template} #{occurrence}")
     }
 }
 

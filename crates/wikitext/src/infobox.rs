@@ -7,6 +7,8 @@
 //! comments — without attempting full wikitext semantics (no template
 //! expansion, no parser functions).
 
+use std::borrow::Cow;
+
 /// One infobox instance: its template name and its parameters in source
 /// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,19 +76,22 @@ pub fn render_infobox(infobox: &Infobox) -> String {
 }
 
 /// Remove `<!-- … -->` comments (unterminated comments run to the end, as
-/// in MediaWiki).
-fn strip_comments(text: &str) -> String {
+/// in MediaWiki). Text without comments is returned as is.
+fn strip_comments(text: &str) -> Cow<'_, str> {
+    if !text.contains("<!--") {
+        return Cow::Borrowed(text);
+    }
     let mut out = String::with_capacity(text.len());
     let mut rest = text;
     while let Some(start) = rest.find("<!--") {
         out.push_str(&rest[..start]);
         match rest[start + 4..].find("-->") {
             Some(end) => rest = &rest[start + 4 + end + 3..],
-            None => return out,
+            None => return Cow::Owned(out),
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 /// Given `bytes[start..]` beginning with `{{`, find the index one past the
@@ -116,10 +121,18 @@ fn find_template_end(bytes: &[u8], start: usize) -> Option<usize> {
 fn parse_template(inner: &str) -> Option<Infobox> {
     let parts = split_top_level(inner);
     let mut parts = parts.into_iter();
-    let name = normalize_ws(parts.next()?);
-    if !name.to_ascii_lowercase().starts_with("infobox") {
+    let name = parts.next()?;
+    // "infobox" holds no whitespace, so testing the raw name's first word
+    // equals testing the normalized name.
+    let is_infobox = name
+        .trim_start()
+        .as_bytes()
+        .get(..7)
+        .is_some_and(|prefix| prefix.eq_ignore_ascii_case(b"infobox"));
+    if !is_infobox {
         return None;
     }
+    let name = normalize_ws(name);
     let mut params = Vec::new();
     for part in parts {
         // Positional parameters (no top-level `=`) are not used by
@@ -210,7 +223,18 @@ fn find_top_level_eq(part: &str) -> Option<usize> {
 
 /// Collapse internal whitespace runs to single spaces and trim.
 fn normalize_ws(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
+    let trimmed = s.trim();
+    // Most keys are already normal: copy them in one allocation.
+    let mut prev_space = false;
+    let normal = trimmed.chars().all(|c| {
+        let ok = !c.is_whitespace() || (c == ' ' && !prev_space);
+        prev_space = c == ' ';
+        ok
+    });
+    if normal {
+        return trimmed.to_owned();
+    }
+    trimmed.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Canonical identity of a template name: lower-cased, with underscores
@@ -220,7 +244,18 @@ fn normalize_ws(s: &str) -> String {
 /// differ keys infobox identity on this form so renames of pure casing or
 /// spelling do not fragment change histories.
 pub fn canonical_template_name(name: &str) -> String {
-    normalize_ws(&name.replace('_', " ")).to_ascii_lowercase()
+    let mut out = String::with_capacity(name.len());
+    for word in name
+        .split(|c: char| c.is_whitespace() || c == '_')
+        .filter(|w| !w.is_empty())
+    {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+    out.make_ascii_lowercase();
+    out
 }
 
 #[cfg(test)]
@@ -387,6 +422,21 @@ More text."#;
         #[test]
         fn prop_never_panics_on_garbage(text in ".{0,300}") {
             let _ = extract_infoboxes(&text);
+        }
+
+        #[test]
+        fn prop_names_normalize_like_split_whitespace(
+            name in "[ \t\u{a0}]{0,2}[iI][nN][fF][oO][bB]?[oO][xX][ _a\t\n\u{a0}\u{3000}é]{0,8}",
+        ) {
+            let reference = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
+            prop_assert_eq!(normalize_ws(&name), reference(&name));
+            let canonical = reference(&name.replace('_', " ")).to_ascii_lowercase();
+            prop_assert_eq!(canonical_template_name(&name), canonical.clone());
+            let boxes = extract_infoboxes(&format!("{{{{{name} | a = 1}}}}"));
+            prop_assert_eq!(
+                boxes.len(),
+                usize::from(reference(&name).to_ascii_lowercase().starts_with("infobox"))
+            );
         }
     }
 }

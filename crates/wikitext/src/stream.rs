@@ -16,6 +16,26 @@
 //! }
 //! ```
 //!
+//! # The page scanner
+//!
+//! This is the one place that cuts `<page>` elements out of a dump;
+//! [`crate::xml::parse_export`] is a strict stream over its string. The
+//! scanner works on the reader's own buffer through
+//! [`BufRead::fill_buf`] and [`BufRead::consume`]:
+//!
+//! * It keeps a resumable search cursor, so each input byte is searched
+//!   once however many reads a page takes: the cost is linear in the
+//!   input.
+//! * `<page` matches only as a whole tag name, by the rule of the page
+//!   parser's own tag search, and `<page/>` is a complete empty element.
+//! * A page that lies inside the reader's buffer is handed to the page
+//!   parser as a `&str` borrowed from that buffer, with no copy; for a
+//!   `&[u8]` reader that is every page. A page that straddles reads is
+//!   collected in a carry buffer, at most one block of 64 KiB per read, so memory stays bounded by the largest page plus one
+//!   block.
+//! * Each page element is checked to be UTF-8 on its own; bytes between
+//!   pages are skipped unread.
+//!
 //! # Recovery mode
 //!
 //! Real dumps are messy: truncated downloads, malformed markup,
@@ -23,6 +43,8 @@
 //! where the strict stream would abort — a malformed page or revision is
 //! *quarantined* (recorded with its title, byte offset, span, and error
 //! in a [`QuarantineReport`]) and the stream moves on to the next page.
+//! A page that is not valid UTF-8 is quarantined the same way, where the
+//! strict stream stops with an [`std::io::ErrorKind::InvalidData`] error.
 //! An optional [`ErrorBudget`] bounds the loss: once the quarantined
 //! fraction exceeds the budget the stream yields
 //! [`StreamError::BudgetExceeded`] and stops, so a catastrophically
@@ -32,14 +54,26 @@
 //! applied to the errors it records.
 
 use crate::quarantine::{ErrorBudget, QuarantineEntry, QuarantineReport};
-use crate::xml::{parse_page, take_element, title_of, PageDump, XmlError};
+use crate::xml::{
+    find_byte, find_close_tag, find_open_tag, is_self_closing, parse_page, title_of, PageDump,
+    XmlError,
+};
 use std::io::BufRead;
+use std::ops::Range;
+
+/// Most bytes the scanner copies out of the reader per read while a page
+/// straddles reads.
+const BLOCK: usize = 64 * 1024;
+
+/// The tag name the scanner cuts elements at.
+const PAGE: &[u8] = b"page";
 
 /// Errors from streaming: transport, markup, or an exhausted error
 /// budget.
 #[derive(Debug)]
 pub enum StreamError {
-    /// The underlying reader failed.
+    /// The underlying reader failed, or (strict mode only) a page element
+    /// was not valid UTF-8.
     Io(std::io::Error),
     /// A page element could not be parsed (strict mode only — recovery
     /// mode quarantines instead).
@@ -87,22 +121,177 @@ enum Mode {
     Lossy { budget: Option<ErrorBudget> },
 }
 
-/// What [`PageStream::next_page_text`] found.
+/// How far the search for the next page element has got, as offsets
+/// into the bytes searched.
+#[derive(Debug, Clone, Copy)]
+enum Cursor {
+    /// Looking for a `<page` start tag from `from`.
+    Open { from: usize },
+    /// A start tag opens at `start`; looking for its `>` from `from`.
+    Tag { start: usize, from: usize },
+    /// The start tag ends before `body`; looking for `</page>` from
+    /// `from`.
+    Close {
+        start: usize,
+        body: usize,
+        from: usize,
+    },
+}
+
+/// A complete page element within the bytes searched.
+#[derive(Debug, Clone)]
+struct Span {
+    /// The `<` of the start tag.
+    start: usize,
+    /// The element's content, between its tags.
+    body: Range<usize>,
+    /// One past the element's last byte.
+    end: usize,
+}
+
+impl Cursor {
+    const START: Cursor = Cursor::Open { from: 0 };
+
+    /// Search `data` from the cursor for the end of a page element.
+    /// `Err` holds the cursor to resume from once more bytes follow
+    /// `data`: every byte before its `from` has been searched.
+    fn advance(self, data: &[u8]) -> Result<Span, Cursor> {
+        let mut cursor = self;
+        loop {
+            cursor = match cursor {
+                Cursor::Open { from } => match find_open_tag(data, from, PAGE) {
+                    Ok(start) => Cursor::Tag {
+                        start,
+                        from: start + 1 + PAGE.len(),
+                    },
+                    Err(from) => return Err(Cursor::Open { from }),
+                },
+                Cursor::Tag { start, from } => match find_byte(&data[from..], b'>') {
+                    Some(i) if is_self_closing(data, start + 1 + PAGE.len(), from + i) => {
+                        let end = from + i + 1;
+                        return Ok(Span {
+                            start,
+                            body: end..end,
+                            end,
+                        });
+                    }
+                    Some(i) => Cursor::Close {
+                        start,
+                        body: from + i + 1,
+                        from: from + i + 1,
+                    },
+                    None => {
+                        return Err(Cursor::Tag {
+                            start,
+                            from: data.len(),
+                        })
+                    }
+                },
+                Cursor::Close { start, body, from } => match find_close_tag(data, from, PAGE) {
+                    Ok(close) => {
+                        return Ok(Span {
+                            start,
+                            body: body..close,
+                            end: close + PAGE.len() + 3,
+                        })
+                    }
+                    Err(from) => return Err(Cursor::Close { start, body, from }),
+                },
+            }
+        }
+    }
+
+    /// The first byte that may still belong to a page element: the start
+    /// tag once one is open, otherwise where the search resumes.
+    fn keep_from(self) -> usize {
+        match self {
+            Cursor::Open { from } => from,
+            Cursor::Tag { start, .. } | Cursor::Close { start, .. } => start,
+        }
+    }
+
+    /// The same cursor over bytes with the first `n` removed, where at
+    /// most `len` remain searched; later bytes are searched again.
+    fn rebase(self, n: usize, len: usize) -> Cursor {
+        let at = |i: usize| (i - n).min(len);
+        match self {
+            Cursor::Open { from } => Cursor::Open { from: at(from) },
+            Cursor::Tag { start, from } => Cursor::Tag {
+                start: at(start),
+                from: at(from),
+            },
+            Cursor::Close { start, body, from } => Cursor::Close {
+                start: at(start),
+                body: at(body),
+                from: at(from),
+            },
+        }
+    }
+}
+
+/// What the page parser made of one page element.
+enum Parsed {
+    /// The element is UTF-8: the page, if one survived, and the errors
+    /// recorded on the way, in input order.
+    Text {
+        page: Option<PageDump>,
+        errors: Vec<XmlError>,
+    },
+    /// The element is not valid UTF-8; its title, if a lossy reading
+    /// finds one.
+    InvalidUtf8 { title: Option<String> },
+}
+
+impl Parsed {
+    /// Check `data[span]` is UTF-8 and run the page parser on its body.
+    fn of(data: &[u8], span: &Span) -> Parsed {
+        let element = &data[span.start..span.end];
+        match std::str::from_utf8(element) {
+            Ok(element) => {
+                // The body lies between ASCII tag bytes, on char
+                // boundaries of the validated element.
+                let body = &element[span.body.start - span.start..span.body.end - span.start];
+                let mut errors = Vec::new();
+                let page = parse_page(body, &mut errors);
+                Parsed::Text { page, errors }
+            }
+            Err(_) => Parsed::InvalidUtf8 {
+                title: title_of(&String::from_utf8_lossy(element)),
+            },
+        }
+    }
+}
+
+/// What [`PageStream::scan`] found.
 enum Scan {
-    /// A complete `<page>…</page>` element and its stream byte offset.
-    Page { offset: u64, text: String },
-    /// End of input, possibly with an incomplete trailing page element.
-    Eof { partial: Option<(u64, usize)> },
+    /// A complete page element: its stream byte offset and length, and
+    /// what the page parser made of it.
+    Page {
+        offset: u64,
+        len: usize,
+        parsed: Parsed,
+    },
+    /// End of input inside a page element that never closed — the
+    /// signature of a truncated dump — as a lossy stream records it.
+    Truncated(QuarantineEntry),
+    /// End of input.
+    Eof,
 }
 
 /// An iterator of pages read incrementally from a dump.
 pub struct PageStream<R: BufRead> {
     reader: R,
-    buffer: String,
+    /// Bytes taken out of the reader that a page may still need: a page
+    /// element that straddles reads, or the start of a `<page` tag split
+    /// across them. Empty while the scanner works in the reader's buffer.
+    carry: Vec<u8>,
+    /// Search position in `carry`, or in the reader's buffer when
+    /// `carry` is empty.
+    cursor: Cursor,
+    /// Stream offset of `carry[0]`, or of the reader's next byte when
+    /// `carry` is empty.
+    pos: u64,
     done: bool,
-    /// Bytes drained from the front of `buffer` since the start of the
-    /// input — the stream offset of `buffer[0]`.
-    stream_pos: u64,
     mode: Mode,
     report: QuarantineReport,
 }
@@ -134,9 +323,10 @@ impl<R: BufRead> PageStream<R> {
     fn with_mode(reader: R, mode: Mode) -> PageStream<R> {
         PageStream {
             reader,
-            buffer: String::new(),
+            carry: Vec::new(),
+            cursor: Cursor::START,
+            pos: 0,
             done: false,
-            stream_pos: 0,
             mode,
             report: QuarantineReport::new(),
         }
@@ -153,49 +343,85 @@ impl<R: BufRead> PageStream<R> {
         self.report
     }
 
-    /// Read lines until the buffer holds at least one complete
-    /// `<page>…</page>` element; returns the element's body (including
-    /// its tags) and stream offset, or end-of-input (noting an
-    /// incomplete trailing page element — the signature of a truncated
-    /// dump).
-    fn next_page_text(&mut self) -> Result<Scan, StreamError> {
+    /// Read until one complete page element has been found and parsed,
+    /// or to the end of input.
+    fn scan(&mut self) -> Result<Scan, StreamError> {
         loop {
-            if let Some(start) = self.buffer.find("<page") {
-                if let Some(end_rel) = self.buffer[start..].find("</page>") {
-                    let end = start + end_rel + "</page>".len();
-                    let offset = self.stream_pos + start as u64;
-                    let page_text = self.buffer[start..end].to_owned();
-                    self.buffer.drain(..end);
-                    self.stream_pos += end as u64;
-                    return Ok(Scan::Page {
-                        offset,
-                        text: page_text,
-                    });
+            let buf = self.reader.fill_buf().map_err(StreamError::Io)?;
+            if buf.is_empty() {
+                // Inside a page, the carry holds it from its start tag on.
+                return Ok(match self.cursor {
+                    Cursor::Open { .. } => Scan::Eof,
+                    _ => Scan::Truncated(QuarantineEntry {
+                        title: title_of(&String::from_utf8_lossy(&self.carry)),
+                        byte_offset: self.pos,
+                        byte_len: self.carry.len(),
+                        error: "truncated dump: <page> element unclosed at end of input".to_owned(),
+                    }),
+                });
+            }
+            if self.carry.is_empty() {
+                // Search the reader's buffer in place; a page that lies
+                // inside it is parsed straight from there.
+                match self.cursor.advance(buf) {
+                    Ok(span) => {
+                        let parsed = Parsed::of(buf, &span);
+                        let offset = self.pos + span.start as u64;
+                        self.reader.consume(span.end);
+                        self.pos += span.end as u64;
+                        self.cursor = Cursor::START;
+                        return Ok(Scan::Page {
+                            offset,
+                            len: span.end - span.start,
+                            parsed,
+                        });
+                    }
+                    Err(cursor) => {
+                        // Drop what no page can need and carry at most
+                        // one block of the rest over to the next read.
+                        let keep = cursor.keep_from();
+                        let take = buf.len().min(keep + BLOCK);
+                        self.carry.extend_from_slice(&buf[keep..take]);
+                        self.reader.consume(take);
+                        self.pos += keep as u64;
+                        self.cursor = cursor.rebase(keep, take - keep);
+                    }
                 }
             } else {
-                // No page start in the buffer: only keep a tail that could
-                // hold a split "<page" token, discard the rest. The cut
-                // moves back to a char boundary so multi-byte text between
-                // pages cannot split a character.
-                let mut keep_from = self.buffer.len().saturating_sub(8);
-                while !self.buffer.is_char_boundary(keep_from) {
-                    keep_from -= 1;
+                // Append one block and search on from the cursor. Bytes
+                // past the end of the page stay in the reader.
+                let searched = self.carry.len();
+                let n = buf.len().min(BLOCK);
+                self.carry.extend_from_slice(&buf[..n]);
+                match self.cursor.advance(&self.carry) {
+                    Ok(span) => {
+                        // The carry held no complete page before this
+                        // block, so the page ends inside it.
+                        self.reader.consume(span.end - searched);
+                        let parsed = Parsed::of(&self.carry, &span);
+                        let offset = self.pos + span.start as u64;
+                        self.pos += span.end as u64;
+                        self.carry.clear();
+                        self.cursor = Cursor::START;
+                        return Ok(Scan::Page {
+                            offset,
+                            len: span.end - span.start,
+                            parsed,
+                        });
+                    }
+                    Err(cursor) => {
+                        self.reader.consume(n);
+                        // Keep the page from its start tag on, or outside a
+                        // page only a start tag split by the read.
+                        let keep = cursor.keep_from();
+                        if keep > 0 {
+                            self.carry.drain(..keep);
+                            self.pos += keep as u64;
+                        }
+                        self.cursor = cursor.rebase(keep, self.carry.len());
+                    }
                 }
-                self.buffer.drain(..keep_from);
-                self.stream_pos += keep_from as u64;
             }
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line).map_err(StreamError::Io)?;
-            if n == 0 {
-                // An opened-but-never-closed <page> at EOF is a truncated
-                // dump, not a clean end.
-                let partial = self
-                    .buffer
-                    .find("<page")
-                    .map(|start| (self.stream_pos + start as u64, self.buffer.len() - start));
-                return Ok(Scan::Eof { partial });
-            }
-            self.buffer.push_str(&line);
         }
     }
 
@@ -249,7 +475,7 @@ impl<R: BufRead> Iterator for PageStream<R> {
         }
         let obs = wikistale_obs::MetricsRegistry::global();
         loop {
-            let scan = match self.next_page_text() {
+            let scan = match self.scan() {
                 Err(e) => {
                     // Transport failures are never recoverable: without a
                     // working reader there is no next page to skip to.
@@ -258,40 +484,50 @@ impl<R: BufRead> Iterator for PageStream<R> {
                 }
                 Ok(scan) => scan,
             };
-            let (offset, text) = match scan {
-                Scan::Eof { partial } => {
+            let (offset, len, parsed) = match scan {
+                Scan::Eof => {
                     self.done = true;
-                    match (partial, &self.mode) {
-                        (None, _) => return self.final_budget_error().map(Err),
-                        (Some(_), Mode::Strict) => {
-                            return Some(Err(StreamError::Xml(XmlError::UnclosedElement("page"))));
-                        }
-                        (Some((offset, len)), Mode::Lossy { .. }) => {
-                            let err = self.quarantine_page(QuarantineEntry {
-                                title: title_of(&self.buffer),
-                                byte_offset: offset,
-                                byte_len: len,
-                                error: "truncated dump: <page> element unclosed at end of input"
-                                    .to_owned(),
-                            });
-                            return err.or_else(|| self.final_budget_error()).map(Err);
-                        }
-                    }
+                    return self.final_budget_error().map(Err);
                 }
-                Scan::Page { offset, text } => (offset, text),
+                Scan::Truncated(entry) => {
+                    self.done = true;
+                    if let Mode::Strict = self.mode {
+                        return Some(Err(StreamError::Xml(XmlError::UnclosedElement("page"))));
+                    }
+                    let err = self.quarantine_page(entry);
+                    return err.or_else(|| self.final_budget_error()).map(Err);
+                }
+                Scan::Page {
+                    offset,
+                    len,
+                    parsed,
+                } => (offset, len, parsed),
+            };
+            let (page, errors) = match (parsed, &self.mode) {
+                (Parsed::Text { page, errors }, _) => (page, errors),
+                (Parsed::InvalidUtf8 { .. }, Mode::Strict) => {
+                    self.done = true;
+                    return Some(Err(StreamError::Io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8",
+                    ))));
+                }
+                (Parsed::InvalidUtf8 { title }, Mode::Lossy { .. }) => {
+                    if let Some(err) = self.quarantine_page(QuarantineEntry {
+                        title,
+                        byte_offset: offset,
+                        byte_len: len,
+                        error: "invalid UTF-8 in page element".to_owned(),
+                    }) {
+                        self.done = true;
+                        return Some(Err(err));
+                    }
+                    continue;
+                }
             };
 
             // One parse for both modes; they differ only in the policy
             // applied to its errors.
-            let mut errors = Vec::new();
-            let page = match take_element(&text, "page") {
-                Ok(Some((body, _))) => parse_page(body, &mut errors),
-                Ok(None) => None,
-                Err(e) => {
-                    errors.push(e);
-                    None
-                }
-            };
             if matches!(self.mode, Mode::Strict) && (page.is_none() || !errors.is_empty()) {
                 self.done = true;
                 let e = errors
@@ -306,7 +542,7 @@ impl<R: BufRead> Iterator for PageStream<R> {
                         self.report.record_revision_skipped(QuarantineEntry {
                             title: Some(page.title.clone()),
                             byte_offset: offset,
-                            byte_len: text.len(),
+                            byte_len: len,
                             error: e.to_string(),
                         });
                         obs.counter("ingest/revisions_skipped").incr();
@@ -325,7 +561,7 @@ impl<R: BufRead> Iterator for PageStream<R> {
                     if let Some(err) = self.quarantine_page(QuarantineEntry {
                         title: None,
                         byte_offset: offset,
-                        byte_len: text.len(),
+                        byte_len: len,
                         error,
                     }) {
                         self.done = true;
@@ -389,6 +625,116 @@ mod tests {
         let reader = BufReader::with_capacity(1, xml.as_bytes());
         let pages: Vec<PageDump> = PageStream::new(reader).map(|p| p.unwrap()).collect();
         assert_eq!(pages.len(), 3);
+    }
+
+    /// One page of `n` revisions, each a multi-line infobox of a few
+    /// fields: the shape of a long edit history.
+    fn long_history(n: usize) -> String {
+        let revisions = (0..n)
+            .map(|i| Revision {
+                date: Date::EPOCH + i as i32,
+                text: format!("{{{{Infobox x\n| a = {i}\n| b = {}\n}}}}", i / 7),
+            })
+            .collect();
+        render_export(&[PageDump {
+            title: "Long".to_owned(),
+            revisions,
+        }])
+    }
+
+    #[test]
+    fn long_page_streams_in_linear_time() {
+        // 5,000 revisions in one <page> element: 35k lines, 0.78 MB, read
+        // about a line at a time. A scanner that searches its buffer
+        // again after every read is quadratic in the page length and
+        // takes seconds here.
+        let xml = long_history(5_000);
+        assert!(xml.len() > 500_000, "{} bytes", xml.len());
+        let batch = crate::xml::parse_export(&xml).unwrap();
+        assert_eq!(batch[0].revisions.len(), 5_000);
+        let started = std::time::Instant::now();
+        let strict: Vec<PageDump> = PageStream::new(BufReader::with_capacity(32, xml.as_bytes()))
+            .map(|p| p.unwrap())
+            .collect();
+        let lossy: Vec<PageDump> = PageStream::lossy(BufReader::with_capacity(32, xml.as_bytes()))
+            .map(|p| p.unwrap())
+            .collect();
+        let elapsed = started.elapsed();
+        assert_eq!(strict, batch);
+        assert_eq!(lossy, batch);
+        assert!(elapsed.as_secs_f64() < 2.0, "took {elapsed:?}");
+    }
+
+    #[test]
+    fn invalid_utf8_page_is_quarantined_in_lossy_mode() {
+        let a = "<page><title>A</title><revision>\
+            <timestamp>2019-01-01T00:00:00Z</timestamp><text>x\u{fffd}y</text></revision></page>";
+        let b = "<page><title>B</title><revision>\
+            <timestamp>2019-01-02T00:00:00Z</timestamp><text>z</text></revision></page>";
+        let mut xml = format!("<mediawiki>\n{a}\n{b}\n</mediawiki>").into_bytes();
+        // Replace the UTF-8 encoding of U+FFFD in page A by one bad byte.
+        let at = xml
+            .windows(3)
+            .position(|w| w == "\u{fffd}".as_bytes())
+            .unwrap();
+        xml.splice(at..at + 3, [0xff]);
+        let a_len = a.len() - 2;
+
+        for capacity in [1, 7, 8192] {
+            let mut stream = PageStream::lossy(BufReader::with_capacity(capacity, &xml[..]));
+            let pages: Vec<PageDump> = (&mut stream).map(|p| p.unwrap()).collect();
+            assert_eq!(pages.len(), 1, "capacity {capacity}");
+            assert_eq!(pages[0].title, "B");
+            let report = stream.into_quarantine();
+            assert_eq!(report.pages_quarantined, 1);
+            let entry = &report.entries()[0];
+            assert_eq!(entry.byte_offset, "<mediawiki>\n".len() as u64);
+            assert_eq!(entry.byte_len, a_len);
+            assert_eq!(entry.title.as_deref(), Some("A"));
+            assert!(entry.error.contains("invalid UTF-8"), "{}", entry.error);
+
+            let results: Vec<_> =
+                PageStream::new(BufReader::with_capacity(capacity, &xml[..])).collect();
+            assert_eq!(results.len(), 1, "strict stops at the bad page");
+            match &results[0] {
+                Err(StreamError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                    assert_eq!(e.to_string(), "stream did not contain valid UTF-8");
+                }
+                other => panic!("expected an InvalidData error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn self_closing_page_is_an_empty_element() {
+        let xml = "<mediawiki><page/>\n<page><title>B</title><revision>\
+            <timestamp>2019-01-01T00:00:00Z</timestamp><text>b</text></revision></page></mediawiki>";
+        let mut stream = PageStream::lossy(BufReader::new(xml.as_bytes()));
+        let pages: Vec<PageDump> = (&mut stream).map(|p| p.unwrap()).collect();
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].title, "B");
+        let report = stream.into_quarantine();
+        assert_eq!(report.pages_quarantined, 1);
+        let entry = &report.entries()[0];
+        assert_eq!(entry.byte_offset, "<mediawiki>".len() as u64);
+        assert_eq!(entry.byte_len, "<page/>".len());
+        assert_eq!(entry.error, XmlError::MissingTitle.to_string());
+        // The strict stream and the batch parser agree on its error.
+        assert_eq!(crate::xml::parse_export(xml), Err(XmlError::MissingTitle));
+    }
+
+    #[test]
+    fn page_matches_only_as_a_whole_tag_name() {
+        let xml = "<pages><pagex>junk</page>\
+            <page><title>T</title><revision>\
+            <timestamp>2019-01-01T00:00:00Z</timestamp><text>t</text></revision></page></pages>";
+        let mut stream = PageStream::lossy(BufReader::with_capacity(3, xml.as_bytes()));
+        let pages: Vec<PageDump> = (&mut stream).map(|p| p.unwrap()).collect();
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].title, "T");
+        assert!(stream.quarantine().is_clean());
+        assert_eq!(crate::xml::parse_export(xml).unwrap(), pages);
     }
 
     #[test]
@@ -626,8 +972,44 @@ mod tests {
         assert_eq!(stream.quarantine().pages_quarantined, 4);
     }
 
+    /// Everything a stream yields and reports, in comparable form.
+    fn outcome<R: BufRead>(mut stream: PageStream<R>) -> (Vec<String>, String) {
+        let items = (&mut stream).map(|item| format!("{item:?}")).collect();
+        (items, format!("{:?}", stream.into_quarantine()))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_read_size_never_changes_the_outcome(
+            parts in proptest::collection::vec(0usize..8, 0..12),
+            capacity in 1usize..40,
+        ) {
+            // Pages straddle reads at every offset: the carried bytes must
+            // give what the in-buffer path gives, errors and offsets too.
+            const PARTS: [&str; 8] = [
+                "<page><title>P</title><revision>\
+                 <timestamp>2019-01-01T00:00:00Z</timestamp><text>v</text></revision></page>",
+                "<page>\n<title>Q</title></page>",
+                "<page/>",
+                "<page><revision></revision></page>",
+                "<pagex>",
+                "</page>",
+                "текст <",
+                "<page><title>T</title><revision><timestamp>bad</timestamp></revision>",
+            ];
+            let xml: String = parts.iter().map(|&i| PARTS[i]).collect();
+            let whole = xml.as_bytes();
+            prop_assert_eq!(
+                outcome(PageStream::new(BufReader::with_capacity(capacity, whole))),
+                outcome(PageStream::new(whole))
+            );
+            prop_assert_eq!(
+                outcome(PageStream::lossy(BufReader::with_capacity(capacity, whole))),
+                outcome(PageStream::lossy(whole))
+            );
+        }
+
         #[test]
         fn prop_lossy_never_panics_and_matches_strict_when_clean(xml in ".{0,200}") {
             let strict: Result<Vec<PageDump>, _> =

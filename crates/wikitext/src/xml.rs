@@ -7,7 +7,13 @@
 //! not a general XML parser, but it handles the entity escaping and the
 //! attribute-carrying `<text …>` tags found in real dumps, and it never
 //! panics on malformed input.
+//!
+//! Page elements are cut from the input by the byte scanner in
+//! [`crate::stream`]; [`parse_export`] is a strict [`PageStream`] over the
+//! string. This module parses one page body at a time ([`parse_page`])
+//! with allocation-free tag searches that skip from one `<` to the next.
 
+use crate::stream::{PageStream, StreamError};
 use std::fmt;
 use wikistale_wikicube::Date;
 
@@ -59,18 +65,15 @@ impl std::error::Error for XmlError {}
 /// page are sorted by date. The first malformed page or revision fails
 /// the whole parse.
 pub fn parse_export(xml: &str) -> Result<Vec<PageDump>, XmlError> {
-    let mut pages = Vec::new();
-    let mut rest = xml;
-    while let Some((page_body, after)) = take_element(rest, "page")? {
-        rest = after;
-        let mut errors = Vec::new();
-        let page = parse_page(page_body, &mut errors);
-        if let Some(e) = errors.into_iter().next() {
-            return Err(e);
-        }
-        pages.extend(page);
-    }
-    Ok(pages)
+    PageStream::new(xml.as_bytes())
+        .map(|page| match page {
+            Ok(page) => Ok(page),
+            Err(StreamError::Xml(e)) => Err(e),
+            // A byte slice cannot fail to read, a `&str` is UTF-8, and a
+            // strict stream has no error budget.
+            Err(e) => unreachable!("strict stream over a string failed: {e}"),
+        })
+        .collect()
 }
 
 /// Parse the body of one `<page>` element — the only page parser, shared
@@ -168,37 +171,114 @@ pub(crate) fn take_element<'a>(
     input: &'a str,
     name: &'static str,
 ) -> Result<Option<(&'a str, &'a str)>, XmlError> {
-    let open = format!("<{name}");
-    let mut search = input;
-    loop {
-        let Some(start) = search.find(&open) else {
-            return Ok(None);
-        };
-        // The match must be a whole tag name: `<text` must not match
-        // `<textarea>`.
-        let after_name = &search[start + open.len()..];
-        match after_name.as_bytes().first() {
-            Some(b'>') | Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'/') => {
-                let tag_close = after_name
-                    .find('>')
-                    .ok_or(XmlError::UnclosedElement(name))?;
-                if after_name.as_bytes()[..tag_close].ends_with(b"/") {
-                    // Self-closing.
-                    let rest = &after_name[tag_close + 1..];
-                    return Ok(Some((&rest[..0], rest)));
-                }
-                let body_start = start + open.len() + tag_close + 1;
-                let close = format!("</{name}>");
-                let body = &search[body_start..];
-                let end = body.find(&close).ok_or(XmlError::UnclosedElement(name))?;
-                let rest = &body[end + close.len()..];
-                return Ok(Some((&body[..end], rest)));
-            }
-            _ => {
-                search = &search[start + open.len()..];
-            }
+    let bytes = input.as_bytes();
+    let Ok(start) = find_open_tag(bytes, 0, name.as_bytes()) else {
+        return Ok(None);
+    };
+    let after_name = start + 1 + name.len();
+    let tag_close =
+        find_byte(&bytes[after_name..], b'>').ok_or(XmlError::UnclosedElement(name))? + after_name;
+    // Every index below sits on an ASCII `<` or `>`, so on a char boundary.
+    if is_self_closing(bytes, after_name, tag_close) {
+        let rest = &input[tag_close + 1..];
+        return Ok(Some((&rest[..0], rest)));
+    }
+    let body_start = tag_close + 1;
+    let end = find_close_tag(bytes, body_start, name.as_bytes())
+        .map_err(|_| XmlError::UnclosedElement(name))?;
+    Ok(Some((
+        &input[body_start..end],
+        &input[end + name.len() + 3..],
+    )))
+}
+
+/// Whether the start tag whose name ends at `after_name` and whose `>`
+/// is at `tag_close` closes itself (`<name/>`, `<name a="b"/>`).
+pub(crate) fn is_self_closing(bytes: &[u8], after_name: usize, tag_close: usize) -> bool {
+    tag_close > after_name && bytes[tag_close - 1] == b'/'
+}
+
+/// Find the first `<name` start tag at or after `from`. The name must be
+/// whole — followed by `>`, `/` or whitespace — so `<text` does not match
+/// `<textarea>`.
+///
+/// `Err` carries the offset a search over a longer input must resume
+/// from: the start of a tag cut off by the end of `hay`, or `hay.len()`.
+pub(crate) fn find_open_tag(hay: &[u8], mut from: usize, name: &[u8]) -> Result<usize, usize> {
+    while let Some(i) = find_byte(&hay[from..], b'<') {
+        let i = from + i;
+        match match_parts(&hay[i..], &[b"<", name]) {
+            Some(true) => match hay.get(i + 1 + name.len()) {
+                Some(b'>' | b' ' | b'\t' | b'\n' | b'/') => return Ok(i),
+                None => return Err(i),
+                Some(_) => {}
+            },
+            None => return Err(i),
+            Some(false) => {}
+        }
+        from = i + 1;
+    }
+    Err(hay.len())
+}
+
+/// Find the first `</name>` close tag at or after `from`; `Err` as in
+/// [`find_open_tag`].
+pub(crate) fn find_close_tag(hay: &[u8], mut from: usize, name: &[u8]) -> Result<usize, usize> {
+    while let Some(i) = find_byte(&hay[from..], b'<') {
+        let i = from + i;
+        match match_parts(&hay[i..], &[b"</", name, b">"]) {
+            Some(true) => return Ok(i),
+            None => return Err(i),
+            Some(false) => from = i + 1,
         }
     }
+    Err(hay.len())
+}
+
+/// Match the concatenation of `parts` at the start of `hay`: `Some(true)`
+/// on a full match, `Some(false)` on a mismatch, `None` when `hay` ends
+/// before the match is decided.
+fn match_parts(mut hay: &[u8], parts: &[&[u8]]) -> Option<bool> {
+    for part in parts {
+        let n = part.len().min(hay.len());
+        if hay[..n] != part[..n] {
+            return Some(false);
+        }
+        if n < part.len() {
+            return None;
+        }
+        hay = &hay[n..];
+    }
+    Some(true)
+}
+
+/// Index of the first `needle` in `hay`, tested eight bytes at a time.
+///
+/// Markup is sparse in a dump — revision text is escaped, so a `<` only
+/// ever starts a tag — and tag searches spend their time here.
+pub(crate) fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let pattern = LO * u64::from(needle);
+    let mut words = hay.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(word);
+        // A zero byte of `x` marks a match; the lowest flagged byte is
+        // exact (borrows only flag bytes above a true zero).
+        let x = u64::from_le_bytes(bytes) ^ pattern;
+        let zeros = x.wrapping_sub(LO) & !x & HI;
+        if zeros != 0 {
+            return Some(base + zeros.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == needle)
+        .map(|i| base + i)
 }
 
 fn parse_timestamp(ts: &str) -> Result<Date, XmlError> {
@@ -402,6 +482,12 @@ mod tests {
         #[test]
         fn prop_never_panics(xml in ".{0,200}") {
             let _ = parse_export(&xml);
+        }
+
+        #[test]
+        fn prop_find_byte_matches_position(hay in "[ab<]{0,40}", from in 0usize..40) {
+            let hay = &hay.as_bytes()[from.min(hay.len())..];
+            prop_assert_eq!(find_byte(hay, b'<'), hay.iter().position(|&b| b == b'<'));
         }
     }
 }

@@ -32,6 +32,12 @@ run cargo test -q --offline -p wikistale-cli --test differential
 run cargo test -q --offline -p wikistale-cli --test differential -- \
     day_list columnar weekly_transactions
 
+# Ingest gates: the page scanner's unit suite (linear time on a long
+# page, pages straddling reads, UTF-8 and `<page/>` handling) and the
+# XML round trip of a synthetic corpus through export, scan, and diff.
+run cargo test -q --offline -p wikistale-wikitext
+run cargo test -q --offline -p wikistale-bench --test roundtrip
+
 # Serving gates: the query server's unit suite (admission, cache,
 # deadline, byte-determinism) plus the end-to-end suite that drives the
 # real binary over loopback TCP.

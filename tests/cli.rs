@@ -269,6 +269,53 @@ fn ingest_parses_a_dump() {
 }
 
 #[test]
+fn lossy_ingest_quarantines_a_page_that_is_not_utf8() {
+    let dir = tmpdir("utf8");
+    let xml = dir.join("dump.xml");
+    let cube = dir.join("dump.wcube");
+    let mut bytes = b"<mediawiki>
+  <page><title>Bad</title>
+    <revision><timestamp>2018-01-01T00:00:00Z</timestamp>
+      <text>{{Infobox settlement | population = 8"
+        .to_vec();
+    bytes.push(0xff);
+    bytes.extend_from_slice(
+        b"}}</text></revision>
+  </page>
+  <page><title>London</title>
+    <revision><timestamp>2018-01-01T00:00:00Z</timestamp>
+      <text>{{Infobox settlement | population = 9}}</text></revision>
+  </page>
+</mediawiki>",
+    );
+    std::fs::write(&xml, bytes).unwrap();
+    let args = [
+        "ingest",
+        "--xml",
+        xml.to_str().unwrap(),
+        "--out",
+        cube.to_str().unwrap(),
+    ];
+    let strict = wikistale(&args);
+    assert!(!strict.status.success(), "{}", stdout(&strict));
+
+    let out = wikistale(&[&args[..], &["--lossy"]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("ingested 1 pages"),
+        "{}",
+        stdout(&out)
+    );
+    assert!(
+        stderr(&out).contains("quarantine: 1 of 2 pages skipped"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stderr(&out).contains("invalid UTF-8"), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn evaluate_refuses_short_corpora() {
     let dir = tmpdir("short");
     let xml = dir.join("dump.xml");
