@@ -9,6 +9,11 @@
 //! As §1 argues, this baseline fails on seasonal and bursty histories —
 //! the paper reports ≤ 55 % precision everywhere — but it calibrates how
 //! hard the task is.
+//!
+//! Both training and prediction walk each field's day list once with a
+//! forward [`DayCursor`](wikistale_wikicube::DayCursor): training probes
+//! the range start and end, prediction probes every window start in
+//! order. A sweep over `W` windows therefore costs O(runs + W) per field.
 
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
@@ -28,13 +33,16 @@ impl MeanBaseline {
         let index = data.index;
         let mean_gap = (0..index.num_fields())
             .map(|pos| {
-                let days = index.days(pos);
-                let n = days.count_before(range.end()) - days.count_before(range.start());
+                let mut cursor = index.days(pos).cursor();
+                cursor.advance_to(range.start());
+                let skipped = cursor.count_before();
+                let first = cursor.first_from();
+                cursor.advance_to(range.end());
+                let n = cursor.count_before() - skipped;
                 if n < 2 {
                     return None;
                 }
-                let first = days.iter_from(range.start()).next()?;
-                let last = days.last_before(range.end())?;
+                let (first, last) = (first?, cursor.last_before()?);
                 let span = (last - first) as f64;
                 let gap = span / (n - 1) as f64;
                 // Identical-day histories cannot happen after
@@ -72,10 +80,11 @@ impl ChangePredictor for MeanBaseline {
             let Some(gap) = self.gap_of(pos) else {
                 continue;
             };
-            let days = data.index.days(pos);
+            let mut cursor = data.index.days(pos).cursor();
             for w in 0..set.num_windows() {
                 let window = set.window_range(w);
-                let Some(last) = days.last_before(window.start()) else {
+                cursor.advance_to(window.start());
+                let Some(last) = cursor.last_before() else {
                     continue;
                 };
                 let elapsed = (window.start() - last) as f64;
@@ -98,6 +107,146 @@ mod tests {
 
     fn day(n: i32) -> Date {
         Date::EPOCH + n
+    }
+
+    /// Reference formulation with random access: training asks four
+    /// independent questions per field, and prediction seeks the last
+    /// change before every window start on its own. Each question is
+    /// answered on the decoded day list.
+    mod reference {
+        use super::*;
+
+        fn count_before(days: &[Date], before: Date) -> usize {
+            days.partition_point(|&d| d < before)
+        }
+
+        fn last_before(days: &[Date], before: Date) -> Option<Date> {
+            count_before(days, before).checked_sub(1).map(|i| days[i])
+        }
+
+        pub fn train(data: &EvalData<'_>, range: DateRange) -> Vec<Option<f64>> {
+            (0..data.index.num_fields())
+                .map(|pos| {
+                    let days = data.index.days(pos).to_vec();
+                    let n = count_before(&days, range.end()) - count_before(&days, range.start());
+                    if n < 2 {
+                        return None;
+                    }
+                    let first = days.iter().copied().find(|&d| d >= range.start())?;
+                    let last = last_before(&days, range.end())?;
+                    let gap = (last - first) as f64 / (n - 1) as f64;
+                    (gap > 0.0).then_some(gap)
+                })
+                .collect()
+        }
+
+        pub fn predict(
+            mb: &MeanBaseline,
+            data: &EvalData<'_>,
+            range: DateRange,
+            granularity: u32,
+        ) -> PredictionSet {
+            let mut set = PredictionSet::new(range, granularity);
+            for pos in 0..data.index.num_fields() {
+                let Some(gap) = mb.gap_of(pos) else {
+                    continue;
+                };
+                let days = data.index.days(pos).to_vec();
+                for w in 0..set.num_windows() {
+                    let window = set.window_range(w);
+                    let Some(last) = last_before(&days, window.start()) else {
+                        continue;
+                    };
+                    let elapsed = (window.start() - last) as f64;
+                    let steps = (elapsed / gap).ceil().max(1.0);
+                    let forecast = last.day_number() as f64 + steps * gap;
+                    if forecast < window.end().day_number() as f64 {
+                        set.insert(pos as u32, w);
+                    }
+                }
+            }
+            set.seal();
+            set
+        }
+    }
+
+    /// Train on `train` and predict `eval` at each granularity, asserting
+    /// gaps and prediction sets equal the reference. Returns the number of
+    /// positive predictions, so callers can check the case is not vacuous.
+    fn assert_matches_reference(
+        data: &EvalData<'_>,
+        train: DateRange,
+        eval: DateRange,
+        granularities: &[u32],
+    ) -> usize {
+        let mb = MeanBaseline::train(data, train);
+        assert_eq!(mb.mean_gap, reference::train(data, train));
+        let mut emitted = 0;
+        for &g in granularities {
+            let set = mb.predict(data, eval, g);
+            assert_eq!(
+                set,
+                reference::predict(&mb, data, eval, g),
+                "granularity {g}"
+            );
+            emitted += set.len();
+        }
+        emitted
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_synth_tiny() {
+        use crate::filters::FilterPipeline;
+        use crate::split::EvalSplit;
+        use wikistale_synth::{generate, SynthConfig};
+
+        let corpus = generate(&SynthConfig::tiny());
+        let (filtered, _) = FilterPipeline::paper().apply(&corpus.cube);
+        let split = EvalSplit::for_span(filtered.time_span().unwrap()).unwrap();
+        let index = CubeIndex::build(&filtered);
+        let data = EvalData::new(&filtered, &index);
+        let emitted = assert_matches_reference(&data, split.train, split.test, &[1, 7, 30, 365]);
+        assert!(emitted > 0);
+        // Training on the validation year and predicting the training
+        // range moves the probes across every part of each history.
+        assert_matches_reference(&data, split.validation, split.train, &[1, 7, 30, 365]);
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_fixtures() {
+        let (cube, index) = cube();
+        let data = EvalData::new(&cube, &index);
+        let whole = DateRange::with_len(Date::EPOCH, 200);
+        let grans = [1, 5, 7, 10, 30, 365];
+        // Periodic and sparse fields, inside and after the history.
+        assert!(
+            assert_matches_reference(&data, whole, DateRange::new(day(100), day(200)), &grans) > 0
+        );
+        assert!(
+            assert_matches_reference(&data, whole, DateRange::new(day(200), day(350)), &grans) > 0
+        );
+        // An evaluation range that begins before any change.
+        assert!(
+            assert_matches_reference(&data, whole, DateRange::new(day(-100), day(400)), &grans) > 0
+        );
+        assert_eq!(
+            assert_matches_reference(&data, whole, DateRange::new(day(-100), day(-50)), &grans),
+            0
+        );
+        // A training range that begins mid-history and one with no change.
+        assert_matches_reference(&data, DateRange::new(day(45), day(151)), whole, &grans);
+        assert_matches_reference(&data, DateRange::new(day(500), day(600)), whole, &grans);
+
+        // The long-silence fixture.
+        let (cube, index) = silence_cube();
+        let data = EvalData::new(&cube, &index);
+        let train = DateRange::with_len(Date::EPOCH, 100);
+        assert!(
+            assert_matches_reference(&data, train, DateRange::new(day(99), day(400)), &grans) > 0
+        );
+        assert!(
+            assert_matches_reference(&data, train, DateRange::new(day(-30), day(60)), &grans) > 0
+        );
     }
 
     /// One perfectly periodic field (every 10 days) and one sparse field.
@@ -189,10 +338,8 @@ mod tests {
         assert!(set.is_empty());
     }
 
-    #[test]
-    fn forecast_steps_over_long_silences() {
-        // Last change long ago: forecast must step by ⌈elapsed/gap⌉, not
-        // predict in every window after the silence.
+    /// One field changing every 7 days from day 0 to day 28, then silent.
+    fn silence_cube() -> (wikistale_wikicube::ChangeCube, CubeIndex) {
         let mut b = ChangeCubeBuilder::new();
         let e = b.entity("E", "t", "P");
         let p = b.property("p");
@@ -201,6 +348,14 @@ mod tests {
         }
         let cube = b.finish();
         let index = CubeIndex::build(&cube);
+        (cube, index)
+    }
+
+    #[test]
+    fn forecast_steps_over_long_silences() {
+        // Last change long ago: forecast must step by ⌈elapsed/gap⌉, not
+        // predict in every window after the silence.
+        let (cube, index) = silence_cube();
         let data = EvalData::new(&cube, &index);
         let mb = MeanBaseline::train(&data, DateRange::with_len(Date::EPOCH, 100));
         // Last change day 28, gap 7. Window [100, 107): elapsed 72 →

@@ -28,6 +28,20 @@
 //! words. One day therefore costs at most one word (4 bytes, same as the
 //! old `Vec<Date>` element) and a K-day consecutive run costs 4/K bytes
 //! per day, with no per-field vector header either way.
+//!
+//! # Navigation
+//!
+//! Runs are delta-encoded, so positioning at a day means decoding every
+//! run before it. Two access patterns follow:
+//!
+//! * **Sweeps walk forward.** A caller that asks about many days of one
+//!   field in ascending order (every window of an evaluation range) uses
+//!   one [`DayCursor`] from [`DayList::cursor`]. `advance_to` only ever
+//!   moves forward and decodes each run at most once, so a sweep of `P`
+//!   probes costs O(runs + P) per field instead of O(runs × P).
+//! * **Single probes seek.** One-off questions ([`DayList::changed_in`],
+//!   [`DayList::iter_from`]) decode from the first run and stop at the
+//!   probe, O(runs) each.
 
 use crate::change::ChangeKind;
 use crate::cube::ChangeCube;
@@ -310,30 +324,18 @@ impl<'a> DayList<'a> {
             .map(|(start, len)| Date::from_day_number((start + len as i64 - 1) as i32))
     }
 
-    /// Number of days strictly before `before`.
-    pub fn count_before(&self, before: Date) -> usize {
-        let b = before.day_number() as i64;
-        let mut n = 0usize;
-        for (start, len) in self.walk() {
-            if start >= b {
-                break;
-            }
-            n += (b - start).min(len as i64) as usize;
+    /// A forward-only cursor over this list, positioned before its first
+    /// day (see [`DayCursor`]).
+    pub fn cursor(&self) -> DayCursor<'a> {
+        let mut walk = self.walk();
+        let run = walk.next();
+        DayCursor {
+            walk,
+            run,
+            done: 0,
+            prev_last: None,
+            probe: i64::MIN,
         }
-        n
-    }
-
-    /// The latest day strictly before `before`, if any.
-    pub fn last_before(&self, before: Date) -> Option<Date> {
-        let b = before.day_number() as i64;
-        let mut best: Option<i64> = None;
-        for (start, len) in self.walk() {
-            if start >= b {
-                break;
-            }
-            best = Some(start + (b - start).min(len as i64) - 1);
-        }
-        best.map(|d| Date::from_day_number(d as i32))
     }
 
     /// Whether any day falls in the half-open window `[start, end)`.
@@ -451,6 +453,79 @@ impl Iterator for RunWalk<'_> {
     }
 }
 
+/// A forward-only position in a [`DayList`], for sweeps that probe one
+/// field at ascending days.
+///
+/// [`DayCursor::advance_to`] moves the probe forward; the accessors then
+/// answer for the current probe `p`: [`DayCursor::count_before`] (days
+/// `< p`), [`DayCursor::last_before`] (latest day `< p`) and
+/// [`DayCursor::first_from`] (earliest day `>= p`). Over any
+/// non-decreasing probe sequence each run is decoded at most once, so a
+/// sweep costs O(runs + probes) and allocates nothing.
+///
+/// A fresh cursor answers as if probed before every day: no days before,
+/// the first day of the list from. A probe earlier than the current one
+/// is clamped to it: the cursor never moves backward and keeps
+/// answering for the latest probe it reached. It never panics.
+#[derive(Debug, Clone)]
+pub struct DayCursor<'a> {
+    walk: RunWalk<'a>,
+    /// The first run not wholly before the probe (`start + len > probe`),
+    /// or `None` once every run lies before it.
+    run: Option<(i64, u32)>,
+    /// Days in the runs wholly before the probe.
+    done: u32,
+    /// Last day of the latest run wholly before the probe.
+    prev_last: Option<i64>,
+    /// The current probe day number.
+    probe: i64,
+}
+
+impl DayCursor<'_> {
+    /// Move the probe forward to `day`. A `day` before the current probe
+    /// leaves the cursor where it is.
+    pub fn advance_to(&mut self, day: Date) {
+        let p = day.day_number() as i64;
+        if p <= self.probe {
+            return;
+        }
+        self.probe = p;
+        while let Some((start, len)) = self.run {
+            let end = start + len as i64;
+            if end > p {
+                break;
+            }
+            self.done += len;
+            self.prev_last = Some(end - 1);
+            self.run = self.walk.next();
+        }
+    }
+
+    /// Number of days strictly before the probe.
+    pub fn count_before(&self) -> usize {
+        let clipped = match self.run {
+            Some((start, _)) if start < self.probe => (self.probe - start) as u32,
+            _ => 0,
+        };
+        (self.done + clipped) as usize
+    }
+
+    /// The latest day strictly before the probe, if any.
+    pub fn last_before(&self) -> Option<Date> {
+        match self.run {
+            Some((start, _)) if start < self.probe => Some(self.probe - 1),
+            _ => self.prev_last,
+        }
+        .map(|d| Date::from_day_number(d as i32))
+    }
+
+    /// The earliest day at or after the probe, if any.
+    pub fn first_from(&self) -> Option<Date> {
+        self.run
+            .map(|(start, _)| Date::from_day_number(start.max(self.probe) as i32))
+    }
+}
+
 /// Iterator over the days of a [`DayList`].
 #[derive(Debug, Clone)]
 pub struct DayIter<'a> {
@@ -512,6 +587,14 @@ mod tests {
         FieldId::new(crate::ids::EntityId(e), crate::ids::PropertyId(p))
     }
 
+    /// `(count_before, last_before, first_from)` of a fresh cursor
+    /// advanced to `d`.
+    fn probe(l: &DayList<'_>, d: Date) -> (usize, Option<Date>, Option<Date>) {
+        let mut c = l.cursor();
+        c.advance_to(d);
+        (c.count_before(), c.last_before(), c.first_from())
+    }
+
     fn store_of(lists: &[(FieldId, Vec<i32>)]) -> DayListStore {
         let mut map = FxHashMap::default();
         for (f, days) in lists {
@@ -571,17 +654,39 @@ mod tests {
         let l = store.list(0);
         assert_eq!(l.first(), Some(day(2)));
         assert_eq!(l.last(), Some(day(21)));
-        assert_eq!(l.count_before(day(2)), 0);
-        assert_eq!(l.count_before(day(4)), 2);
-        assert_eq!(l.count_before(day(10)), 4);
-        assert_eq!(l.count_before(day(100)), 6);
-        assert_eq!(l.last_before(day(2)), None);
-        assert_eq!(l.last_before(day(9)), Some(day(4)));
-        assert_eq!(l.last_before(day(21)), Some(day(20)));
-        assert_eq!(l.last_before(day(500)), Some(day(21)));
+        assert_eq!(probe(&l, day(2)), (0, None, Some(day(2))));
+        assert_eq!(probe(&l, day(4)), (2, Some(day(3)), Some(day(4))));
+        assert_eq!(probe(&l, day(9)), (3, Some(day(4)), Some(day(9))));
+        assert_eq!(probe(&l, day(10)), (4, Some(day(9)), Some(day(20))));
+        assert_eq!(probe(&l, day(21)), (5, Some(day(20)), Some(day(21))));
+        assert_eq!(probe(&l, day(100)), (6, Some(day(21)), None));
         assert_eq!(DayList::EMPTY.first(), None);
         assert_eq!(DayList::EMPTY.last(), None);
         assert!(DayList::EMPTY.is_empty());
+        assert_eq!(probe(&DayList::EMPTY, day(0)), (0, None, None));
+    }
+
+    #[test]
+    fn cursor_sweeps_forward_and_clamps_backward_probes() {
+        let store = store_of(&[(field(0, 0), vec![2, 3, 4, 9, 20, 21])]);
+        let mut c = store.list(0).cursor();
+        // Fresh: probed before every day.
+        assert_eq!((c.count_before(), c.last_before()), (0, None));
+        assert_eq!(c.first_from(), Some(day(2)));
+        c.advance_to(day(3));
+        assert_eq!((c.count_before(), c.last_before()), (1, Some(day(2))));
+        c.advance_to(day(3));
+        assert_eq!((c.count_before(), c.last_before()), (1, Some(day(2))));
+        c.advance_to(day(15));
+        assert_eq!((c.count_before(), c.last_before()), (4, Some(day(9))));
+        assert_eq!(c.first_from(), Some(day(20)));
+        // A backward probe is clamped: the answers stay those of day 15.
+        c.advance_to(day(0));
+        assert_eq!((c.count_before(), c.last_before()), (4, Some(day(9))));
+        assert_eq!(c.first_from(), Some(day(20)));
+        c.advance_to(day(22));
+        assert_eq!((c.count_before(), c.last_before()), (6, Some(day(21))));
+        assert_eq!(c.first_from(), None);
     }
 
     #[test]
@@ -648,8 +753,7 @@ mod tests {
         assert_eq!(l.len(), 1000);
         let expected: Vec<Date> = days.iter().map(|&n| day(n)).collect();
         assert_eq!(l.to_vec(), expected);
-        assert_eq!(l.count_before(day(500)), 500);
-        assert_eq!(l.last_before(day(500)), Some(day(499)));
+        assert_eq!(probe(&l, day(500)), (500, Some(day(499)), Some(day(500))));
         assert_eq!(
             l.iter_from(day(998)).collect::<Vec<_>>(),
             vec![day(998), day(999)]
@@ -664,8 +768,11 @@ mod tests {
         assert!(store.runs.contains(&ESCAPE));
         let l = store.list(0);
         assert_eq!(l.to_vec(), vec![day(0), day(20_000_000)]);
-        assert_eq!(l.last_before(day(20_000_000)), Some(day(0)));
-        assert_eq!(l.count_before(day(20_000_001)), 2);
+        assert_eq!(
+            probe(&l, day(20_000_000)),
+            (1, Some(day(0)), Some(day(20_000_000)))
+        );
+        assert_eq!(probe(&l, day(20_000_001)), (2, Some(day(20_000_000)), None));
         assert!(l.changed_in(day(19_999_999), day(20_000_001)));
         assert!(!l.changed_in(day(1), day(20_000_000)));
     }
@@ -756,9 +863,6 @@ mod tests {
                 let l = store.list(0);
                 let decoded: Vec<i32> = days;
                 let p = day(probe);
-                let before: Vec<i32> = decoded.iter().copied().filter(|&d| d < probe).collect();
-                prop_assert_eq!(l.count_before(p), before.len());
-                prop_assert_eq!(l.last_before(p), before.last().map(|&n| day(n)));
                 let after: Vec<Date> =
                     decoded.iter().copied().filter(|&d| d >= probe).map(day).collect();
                 prop_assert_eq!(l.iter_from(p).collect::<Vec<_>>(), after);
@@ -772,6 +876,39 @@ mod tests {
                     .collect();
                 prop_assert_eq!(l.changed_in(p, end), !inside.is_empty());
                 prop_assert_eq!(l.iter_in(range).collect::<Vec<_>>(), inside);
+            }
+
+            /// One cursor driven through a non-decreasing probe sequence
+            /// (repeats included) answers like the decoded slice at every
+            /// step.
+            #[test]
+            fn prop_cursor_sweep_matches_decoded(
+                days in day_list_strategy(),
+                start in -60_000i32..60_000,
+                steps in proptest::collection::vec((0u8..5, 0i32..64), 0..60),
+            ) {
+                let store = store_of(&[(field(0, 0), days.clone())]);
+                let l = store.list(0);
+                let mut cursor = l.cursor();
+                let mut probe = start;
+                for (kind, raw) in std::iter::once((0, 0)).chain(steps) {
+                    probe = probe.saturating_add(match kind {
+                        0 => 0,                   // repeat the probe
+                        1 => 1 + raw % 3,         // small steps
+                        2 => 250 + raw,           // straddle 256-day continuations
+                        3 => 0xFF_FFF0 + raw % 0x20, // straddle the escape gap
+                        // Land on, or next to, the next day of the list.
+                        _ => days
+                            .iter()
+                            .find(|&&d| d > probe)
+                            .map_or(0, |&d| d - probe + raw % 3 - 1),
+                    });
+                    cursor.advance_to(day(probe));
+                    let n = days.partition_point(|&d| d < probe);
+                    prop_assert_eq!(cursor.count_before(), n);
+                    prop_assert_eq!(cursor.last_before(), n.checked_sub(1).map(|i| day(days[i])));
+                    prop_assert_eq!(cursor.first_from(), days.get(n).map(|&d| day(d)));
+                }
             }
         }
     }

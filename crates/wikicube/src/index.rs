@@ -267,9 +267,12 @@ mod tests {
         let wins = cube.property_id("wins").unwrap();
         let pos = idx.position(FieldId::new(ali, wins)).unwrap();
         assert_eq!(idx.days(pos).to_vec(), vec![day(1), day(2), day(3)]);
-        assert_eq!(idx.days(pos).last_before(day(3)), Some(day(2)));
-        assert_eq!(idx.days(pos).count_before(day(3)), 2);
-        assert_eq!(idx.days(pos).last_before(day(0)), None);
+        let mut cursor = idx.days(pos).cursor();
+        cursor.advance_to(day(0));
+        assert_eq!(cursor.last_before(), None);
+        cursor.advance_to(day(3));
+        assert_eq!(cursor.last_before(), Some(day(2)));
+        assert_eq!(cursor.count_before(), 2);
     }
 
     #[test]

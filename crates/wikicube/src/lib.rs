@@ -75,7 +75,7 @@ pub mod stats;
 pub use change::{Change, ChangeFlags, ChangeKind};
 pub use cube::{ChangeColumns, ChangeCube, ChangeCubeBuilder, Changes, EntityMeta};
 pub use date::{Date, DateRange, Weekday};
-pub use daylist::{DayList, DayListStore};
+pub use daylist::{DayCursor, DayList, DayListStore};
 pub use error::CubeError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use ids::{EntityId, FieldId, PageId, PropertyId, TemplateId, ValueId};

@@ -32,6 +32,12 @@ run cargo test -q --offline -p wikistale-cli --test differential
 run cargo test -q --offline -p wikistale-cli --test differential -- \
     day_list columnar weekly_transactions
 
+# Day-list sweep gates: the forward cursor's unit and property tests,
+# and the mean baseline's cursor sweep against its per-window reference
+# (synth tiny at 1/7/30/365 days plus the hand-built fixtures).
+run cargo test -q --offline -p wikistale-wikicube daylist
+run cargo test -q --offline -p wikistale-core mean_baseline
+
 # Ingest gates: the page scanner's unit suite (linear time on a long
 # page, pages straddling reads, UTF-8 and `<page/>` handling) and the
 # XML round trip of a synthetic corpus through export, scan, and diff.
