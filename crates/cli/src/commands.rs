@@ -629,10 +629,9 @@ fn load_serve_artifacts(args: &Args) -> Result<wikistale_serve::ServeArtifacts, 
 
 /// Parse the server tuning flags of `serve`.
 fn serve_server_config(args: &Args) -> Result<wikistale_serve::ServerConfig, CliError> {
+    // `run` has already applied `--threads` through `set_threads`, which
+    // the default worker count reads.
     let mut config = wikistale_serve::ServerConfig::default();
-    if let Some(threads) = get_parsed::<usize>(args, "threads")? {
-        config.threads = threads;
-    }
     match get_parsed::<usize>(args, "queue-limit")? {
         Some(0) => return Err(CliError::Usage("--queue-limit must be at least 1".into())),
         Some(limit) => config.queue_limit = limit,

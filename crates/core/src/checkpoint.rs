@@ -273,13 +273,7 @@ impl CheckpointManifest {
             .iter()
             .map(|&g| self.granularity(g).cloned())
             .collect::<Option<Vec<_>>>()?;
-        Some(PaperResults {
-            per_granularity,
-            rules_per_template: summary.rules_per_template.clone(),
-            num_field_corr_rules: summary.num_field_corr_rules,
-            num_assoc_rules: summary.num_assoc_rules,
-            covered_entities: summary.covered_entities,
-        })
+        Some(summary.clone().into_results(per_granularity))
     }
 
     /// Render the manifest as JSON.

@@ -2,6 +2,7 @@
 //! predictors, run every granularity, and collect everything the tables
 //! and figures need.
 
+use crate::checkpoint::ResultsSummary;
 use crate::eval::{evaluate, overlap, per_window_series, truth_set, EvalOutcome, Overlap};
 use crate::predictor::EvalData;
 use crate::predictors::{
@@ -235,17 +236,7 @@ pub fn run_paper_evaluation_resumable(
     };
     let data = EvalData::new(filtered, &index);
     let predictors = TrainedPredictors::train(&data, split.train_and_validation(), config);
-    // Same ordering as `results_for`: Figure 3 histogram sorted by
-    // descending rule count, ties by template id.
-    let mut rules_per_template: Vec<(TemplateId, usize)> =
-        predictors.assoc.rules_per_template().into_iter().collect();
-    rules_per_template.sort_unstable_by_key(|&(t, n)| (std::cmp::Reverse(n), t));
-    manifest.set_summary(crate::checkpoint::ResultsSummary {
-        num_field_corr_rules: predictors.field_corr.num_rules(),
-        num_assoc_rules: predictors.assoc.num_rules(),
-        covered_entities: predictors.assoc.covered_entities(&data),
-        rules_per_template,
-    });
+    manifest.set_summary(ResultsSummary::of(&predictors, &data));
     on_stage("train", manifest)?;
     for &g in &crate::GRANULARITIES {
         if manifest.granularity(g).is_none() {
@@ -281,25 +272,41 @@ fn results_for(
     eval_range: DateRange,
 ) -> PaperResults {
     // The four granularities are independent window sweeps; run them as
-    // engine tasks (slot-merged, so the result order is always the
+    // tasks (slot-merged, so the result order is always the
     // `GRANULARITIES` order).
-    use wikistale_exec::{Engine, Execute};
     let per_granularity =
-        Engine::current().run_tasks("granularities", crate::GRANULARITIES.len(), |task| {
+        wikistale_exec::par_tasks("granularities", crate::GRANULARITIES.len(), |task| {
             let g = crate::GRANULARITIES[task];
             evaluate_granularity(data, predictors, eval_range, g, g == 7)
         });
+    ResultsSummary::of(predictors, data).into_results(per_granularity)
+}
 
-    let mut rules_per_template: Vec<(TemplateId, usize)> =
-        predictors.assoc.rules_per_template().into_iter().collect();
-    rules_per_template.sort_unstable_by_key(|&(t, n)| (std::cmp::Reverse(n), t));
+impl ResultsSummary {
+    /// The training summary of `predictors`: rule counts, coverage, and
+    /// the Figure 3 histogram sorted by descending rule count, ties by
+    /// template id.
+    pub(crate) fn of(predictors: &TrainedPredictors, data: &EvalData<'_>) -> ResultsSummary {
+        let mut rules_per_template: Vec<(TemplateId, usize)> =
+            predictors.assoc.rules_per_template().into_iter().collect();
+        rules_per_template.sort_unstable_by_key(|&(t, n)| (std::cmp::Reverse(n), t));
+        ResultsSummary {
+            num_field_corr_rules: predictors.field_corr.num_rules(),
+            num_assoc_rules: predictors.assoc.num_rules(),
+            covered_entities: predictors.assoc.covered_entities(data),
+            rules_per_template,
+        }
+    }
 
-    PaperResults {
-        per_granularity,
-        num_field_corr_rules: predictors.field_corr.num_rules(),
-        num_assoc_rules: predictors.assoc.num_rules(),
-        covered_entities: predictors.assoc.covered_entities(data),
-        rules_per_template,
+    /// The complete results: this summary plus the per-granularity tables.
+    pub(crate) fn into_results(self, per_granularity: Vec<GranularityResults>) -> PaperResults {
+        PaperResults {
+            per_granularity,
+            rules_per_template: self.rules_per_template,
+            num_field_corr_rules: self.num_field_corr_rules,
+            num_assoc_rules: self.num_assoc_rules,
+            covered_entities: self.covered_entities,
+        }
     }
 }
 

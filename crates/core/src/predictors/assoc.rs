@@ -12,7 +12,6 @@
 
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
-use crate::predictors::parallel_chunks;
 use wikistale_apriori::{mine, AprioriParams, TransactionSet};
 use wikistale_wikicube::{
     ChangeCube, DateRange, EntityId, FieldId, FxHashMap, PropertyId, TemplateId,
@@ -206,8 +205,8 @@ fn mine_rules(data: &EvalData<'_>, range: DateRange, apriori: &AprioriParams) ->
         .collect();
 
     // Chunk size 8: templates are few but heavy, small chunks let the
-    // work-stealing engine balance skewed template sizes.
-    let chunk_results = parallel_chunks("assoc_templates", &jobs, 8, |chunk| {
+    // workers balance skewed template sizes.
+    let chunk_results = wikistale_exec::par_chunks("assoc_templates", &jobs, 8, |chunk| {
         let mut rules = Vec::new();
         for (template_idx, txs) in chunk {
             // Template-local dense item ids.

@@ -26,7 +26,6 @@
 
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
-use crate::predictors::parallel_chunks;
 use wikistale_wikicube::{Date, DateRange, FxHashMap, PageId};
 
 /// How to normalize the Manhattan distance between change vectors.
@@ -225,7 +224,7 @@ impl FieldCorrelation {
             .filter(|&p| index.fields_on_page(p).len() >= 2)
             .collect();
 
-        let chunk_rules = parallel_chunks("field_corr_pages", &pages, 64, |chunk| {
+        let chunk_rules = wikistale_exec::par_chunks("field_corr_pages", &pages, 64, |chunk| {
             let mut rules: Vec<(u32, u32)> = Vec::new();
             for &page in chunk {
                 let fields = index.fields_on_page(page);

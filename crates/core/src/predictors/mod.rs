@@ -11,69 +11,3 @@ pub use field_corr::{change_distance, DistanceNorm, FieldCorrelation, FieldCorre
 pub use mean_baseline::MeanBaseline;
 pub use seasonal::{SeasonalParams, SeasonalPredictor};
 pub use threshold_baseline::ThresholdBaseline;
-
-/// Map fixed-size chunks of `items` on the work-stealing engine and
-/// collect the chunk results in chunk order.
-///
-/// Used for the per-page correlation search and per-template rule mining,
-/// both embarrassingly parallel. The heavy lifting lives in
-/// [`wikistale_exec::par_chunks`]: chunk boundaries derive only from
-/// `chunk_size` (never from the worker count), so results — and therefore
-/// every trained model — are byte-identical across `--threads` settings.
-/// Per-chunk wall times and per-worker scheduling stats land under
-/// `parallel/<label>/…` in the global metrics registry.
-pub(crate) fn parallel_chunks<T, R, F>(label: &str, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    wikistale_exec::par_chunks(label, items, chunk_size, f)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wikistale_obs::MetricsRegistry;
-
-    #[test]
-    fn parallel_chunks_covers_all_items() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let partials = parallel_chunks("test_sum", &items, 8, |chunk| chunk.iter().sum::<u64>());
-        let total: u64 = partials.into_iter().sum();
-        assert_eq!(total, items.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn parallel_chunks_empty_and_small() {
-        let empty: Vec<u32> = vec![];
-        assert!(parallel_chunks("test_empty", &empty, 4, |c| c.len()).is_empty());
-        let small = vec![1u32];
-        let r = parallel_chunks("test_small", &small, 4, |c| c.len());
-        assert_eq!(r.iter().sum::<usize>(), 1);
-    }
-
-    #[test]
-    fn counters_under_parallel_chunks_report_exact_totals() {
-        // Worker threads bump a shared counter handle; the registry must
-        // see every increment exactly once regardless of chunking.
-        let registry = MetricsRegistry::global();
-        let counter = registry.counter("test_parallel_hits");
-        let before = counter.get();
-        let items: Vec<u64> = (0..10_000).collect();
-        parallel_chunks("test_counted", &items, 8, |chunk| {
-            let counter = registry.counter("test_parallel_hits");
-            for _ in chunk {
-                counter.incr();
-            }
-        });
-        assert_eq!(counter.get() - before, 10_000);
-        // Chunk wall times were recorded: as many observations as chunks.
-        let snapshot = registry.snapshot();
-        let stat = snapshot.spans["parallel/test_counted/chunk"];
-        assert_eq!(
-            stat.count,
-            snapshot.gauges["parallel/test_counted/chunks"] as u64
-        );
-    }
-}

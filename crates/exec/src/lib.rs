@@ -1,6 +1,6 @@
 //! # wikistale-exec
 //!
-//! Deterministic work-stealing execution layer for the wikistale pipeline.
+//! Deterministic parallel execution layer for the wikistale pipeline.
 //!
 //! Every hot pipeline stage (cube building, field-correlation pairing,
 //! Apriori support counting, the evaluation sweep) runs through this crate
@@ -21,19 +21,18 @@
 //! 2. **Slot merge.** Each chunk's result is written to a slot indexed by
 //!    its chunk number; the caller receives results in chunk order no
 //!    matter which worker ran which chunk or in what order.
-//! 3. **Serial first-class.** With one worker (or one chunk) the engine
-//!    runs on the caller thread — same chunking, same merge — so
-//!    `--threads 1` exercises the identical code path that the
+//! 3. **Serial first-class.** With one worker (or one chunk) the same
+//!    worker loop runs on the caller thread — same chunking, same merge —
+//!    so `--threads 1` exercises the identical code path that the
 //!    differential suite compares `--threads N` against, and `obs` span
 //!    nesting is preserved for serial metric attribution.
 //!
-//! Scheduling is work stealing over scoped threads: each worker owns a
-//! deque seeded with a contiguous block of chunk indices, pops its own
-//! front, and steals from the back of a victim's deque when it runs dry.
-//! Chunks are never re-queued, so a worker that observes every deque
-//! empty can exit immediately. Per-worker activity (tasks executed,
-//! steals, max queue depth) and per-chunk latency are reported under the
-//! `parallel/<label>/…` metric tree via [`wikistale_obs::parallel`].
+//! Scheduling is one shared task cursor over scoped threads: every worker
+//! claims the next task index with an atomic `fetch_add` until the cursor
+//! passes the last task, so a worker stuck on a slow chunk never holds up
+//! the rest. Per-worker task counts and per-chunk latency are reported
+//! under the `parallel/<label>/…` metric tree via
+//! [`wikistale_obs::parallel`].
 //!
 //! Worker-count resolution, in priority order: [`set_threads`] (the CLI
 //! `--threads` flag) → the `WIKISTALE_THREADS` environment variable →
@@ -43,12 +42,11 @@
 
 pub mod service;
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use wikistale_obs::parallel::{record_pool, WorkerReport};
+use wikistale_obs::parallel::record_pool;
 
 /// Explicit worker-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -128,277 +126,117 @@ impl Drop for OverrideGuard {
     }
 }
 
-/// An execution strategy: maps task indices `0..num_tasks` to results,
-/// returned in task order. Both engines implement it so every stage keeps
-/// its serial implementation behind the same trait as the parallel one.
-pub trait Execute {
-    /// Run `f(0), f(1), …, f(num_tasks - 1)` and return the results in
-    /// task order. `label` names the pool in the `parallel/*` metric tree.
-    fn run_tasks<R, F>(&self, label: &str, num_tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync;
-}
-
-/// Runs every task on the caller thread, in task order.
-pub struct Serial;
-
-impl Execute for Serial {
-    fn run_tasks<R, F>(&self, label: &str, num_tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let mut results = Vec::with_capacity(num_tasks);
-        let mut durations = Vec::with_capacity(num_tasks);
-        for task in 0..num_tasks {
-            let start = Instant::now();
-            results.push(f(task));
-            durations.push(start.elapsed());
-        }
-        record_pool(
-            label,
-            &durations,
-            &[WorkerReport {
-                tasks: num_tasks as u64,
-                steals: 0,
-                max_queue_depth: num_tasks as u64,
-            }],
-        );
-        results
-    }
-}
-
-/// Work-stealing pool with a fixed worker count over scoped threads.
-pub struct WorkStealing {
-    workers: usize,
-}
-
-impl WorkStealing {
-    /// A pool of `workers` workers (floored at 2; use [`Serial`] for 1).
-    pub fn new(workers: usize) -> WorkStealing {
-        WorkStealing {
-            workers: workers.max(2),
-        }
-    }
-}
-
-/// One worker's output: executed (task, result, latency) triples plus the
-/// scheduling report.
-type WorkerOutput<R> = (Vec<(usize, R, Duration)>, WorkerReport);
-
-impl WorkStealing {
-    fn worker_loop<R, F>(worker: usize, queues: &[Mutex<VecDeque<usize>>], f: &F) -> WorkerOutput<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = queues.len();
-        let mut done = Vec::new();
-        let mut report = WorkerReport::default();
-        loop {
-            // Own deque first: pop the front (chunk order, cache-friendly).
-            let mut task = {
-                let mut queue = queues[worker]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                report.max_queue_depth = report.max_queue_depth.max(queue.len() as u64);
-                queue.pop_front()
-            };
-            // Dry: steal from the back of the first non-empty victim.
-            if task.is_none() {
-                for offset in 1..workers {
-                    let victim = (worker + offset) % workers;
-                    let stolen = queues[victim]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .pop_back();
-                    if stolen.is_some() {
-                        task = stolen;
-                        report.steals += 1;
-                        break;
-                    }
-                }
-            }
-            // Tasks are never re-queued, so "every deque empty" is final.
-            let Some(task) = task else { break };
-            let start = Instant::now();
-            let result = f(task);
-            done.push((task, result, start.elapsed()));
-            report.tasks += 1;
-        }
-        (done, report)
-    }
-}
-
-impl Execute for WorkStealing {
-    fn run_tasks<R, F>(&self, label: &str, num_tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.workers.min(num_tasks);
-        if workers <= 1 {
-            return Serial.run_tasks(label, num_tasks, f);
-        }
-        // Seed each worker's deque with a contiguous block of chunk
-        // indices. The distribution affects only scheduling, never the
-        // merge order: results land in slots keyed by task index.
-        let block = num_tasks.div_ceil(workers);
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * block;
-                let hi = ((w + 1) * block).min(num_tasks);
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-
-        let f = &f;
-        let queues = &queues;
-        let outputs: Vec<WorkerOutput<R>> = std::thread::scope(|scope| {
+/// Run `f(0), …, f(num_tasks - 1)` and return the results in task
+/// order. `label` names the pool in the `parallel/*` metric tree.
+///
+/// Workers claim task indices from one shared cursor, so a worker that
+/// finishes early simply claims the next unclaimed task; results land in
+/// slots keyed by task index, which makes the claim order unobservable.
+/// With one worker (or at most one task) the loop runs on the caller
+/// thread, keeping `obs` span nesting intact. A worker's panic is
+/// re-raised on the caller.
+pub fn par_tasks<R, F>(label: &str, num_tasks: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = threads().min(num_tasks);
+    let next = AtomicUsize::new(0);
+    let outputs: Vec<Vec<(usize, R, Duration)>> = if workers <= 1 {
+        vec![worker_loop(&next, num_tasks, &f)]
+    } else {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || Self::worker_loop(w, queues, f)))
+                .map(|_| scope.spawn(|| worker_loop(&next, num_tasks, &f)))
                 .collect();
             handles
                 .into_iter()
-                .map(|handle| match handle.join() {
-                    Ok(output) => output,
-                    Err(panic) => std::panic::resume_unwind(panic),
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
                 })
                 .collect()
-        });
+        })
+    };
 
-        // Deterministic chunk → slot merge.
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(num_tasks);
-        slots.resize_with(num_tasks, || None);
-        let mut durations = vec![Duration::ZERO; num_tasks];
-        let mut reports = Vec::with_capacity(workers);
-        for (done, report) in outputs {
-            for (task, result, elapsed) in done {
-                slots[task] = Some(result);
-                durations[task] = elapsed;
-            }
-            reports.push(report);
+    // Deterministic task → slot merge.
+    let worker_tasks: Vec<u64> = outputs.iter().map(|done| done.len() as u64).collect();
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(num_tasks);
+    slots.resize_with(num_tasks, || None);
+    let mut durations = vec![Duration::ZERO; num_tasks];
+    for (task, result, elapsed) in outputs.into_iter().flatten() {
+        slots[task] = Some(result);
+        durations[task] = elapsed;
+    }
+    record_pool(label, &durations, &worker_tasks);
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("exec: the cursor hands out every task index exactly once"))
+        .collect()
+}
+
+/// Claim tasks from `next` until it passes `num_tasks`; returns the
+/// executed (task, result, latency) triples.
+fn worker_loop<R, F>(next: &AtomicUsize, num_tasks: usize, f: &F) -> Vec<(usize, R, Duration)>
+where
+    F: Fn(usize) -> R,
+{
+    let mut done = Vec::new();
+    loop {
+        // Relaxed suffices: the cursor publishes no data (the RMW alone
+        // makes each index unique); results reach the caller by return
+        // value, through the thread join.
+        let task = next.fetch_add(1, Ordering::Relaxed);
+        if task >= num_tasks {
+            return done;
         }
-        record_pool(label, &durations, &reports);
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("exec: every task index is seeded exactly once"))
-            .collect()
+        let start = Instant::now();
+        let result = f(task);
+        done.push((task, result, start.elapsed()));
     }
 }
 
-/// The engine selected by the global configuration: serial at one worker,
-/// work stealing otherwise.
-pub enum Engine {
-    /// Caller-thread execution.
-    Serial(Serial),
-    /// Scoped-thread work-stealing pool.
-    Stealing(WorkStealing),
-}
-
-impl Engine {
-    /// The engine for an explicit worker count.
-    pub fn with_threads(threads: usize) -> Engine {
-        if threads <= 1 {
-            Engine::Serial(Serial)
-        } else {
-            Engine::Stealing(WorkStealing::new(threads))
-        }
-    }
-
-    /// The engine for the resolved global configuration ([`threads`]).
-    pub fn current() -> Engine {
-        Engine::with_threads(threads())
-    }
-
-    /// The always-serial engine, independent of configuration.
-    pub fn serial() -> Engine {
-        Engine::Serial(Serial)
-    }
-
-    /// The worker count this engine schedules onto.
-    pub fn workers(&self) -> usize {
-        match self {
-            Engine::Serial(_) => 1,
-            Engine::Stealing(pool) => pool.workers,
-        }
-    }
-}
-
-impl Execute for Engine {
-    fn run_tasks<R, F>(&self, label: &str, num_tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self {
-            Engine::Serial(engine) => engine.run_tasks(label, num_tasks, f),
-            Engine::Stealing(pool) => pool.run_tasks(label, num_tasks, f),
-        }
-    }
-}
-
-/// Run `f` over fixed-size chunks of `items` on the current engine;
-/// results come back in chunk order. `chunk` is the requested chunk size
+/// Run `f` over fixed-size index ranges partitioning `0..len`; results
+/// come back in range order. `chunk` is the requested range length
 /// (subject to the global test override, never to the worker count).
+pub fn par_ranges<R, F>(label: &str, len: usize, chunk: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let size = chunk_size(chunk);
+    par_tasks(label, len.div_ceil(size), |task| {
+        let lo = task * size;
+        f(lo..(lo + size).min(len))
+    })
+}
+
+/// Run `f` over fixed-size chunks of `items`; results come back in chunk
+/// order. `chunk` is the requested chunk size, as for [`par_ranges`].
 pub fn par_chunks<T, R, F>(label: &str, items: &[T], chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&[T]) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let size = chunk_size(chunk);
-    let chunks: Vec<&[T]> = items.chunks(size).collect();
-    Engine::current().run_tasks(label, chunks.len(), |task| f(chunks[task]))
-}
-
-/// Run `f` over fixed-size index ranges partitioning `0..len` on the
-/// current engine; results come back in range order.
-pub fn par_ranges<R, F>(label: &str, len: usize, chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    let size = chunk_size(chunk);
-    let num_chunks = len.div_ceil(size);
-    Engine::current().run_tasks(label, num_chunks, |task| {
-        let lo = task * size;
-        let hi = (lo + size).min(len);
-        f(lo..hi)
-    })
-}
-
-/// Run `f(0), …, f(num_tasks - 1)` on the current engine; results come
-/// back in task order. For coarse heterogeneous tasks (one per
-/// granularity, one per predictor) where chunking adds nothing.
-pub fn par_tasks<R, F>(label: &str, num_tasks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    Engine::current().run_tasks(label, num_tasks, f)
+    par_ranges(label, items.len(), chunk, |range| f(&items[range]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use wikistale_obs::MetricsRegistry;
 
     #[test]
     fn serial_and_stealing_agree_on_task_order() {
-        let _guard = override_scope(0, 0);
-        let serial = Serial.run_tasks("exec_test_order", 257, |i| i * 3 + 1);
-        for workers in [2, 3, 4, 7] {
-            let parallel =
-                WorkStealing::new(workers).run_tasks("exec_test_order", 257, |i| i * 3 + 1);
-            assert_eq!(serial, parallel, "workers={workers}");
+        // Task order at one worker (caller thread) and at several.
+        let expected: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
+        for workers in [1, 2, 3, 4, 7] {
+            let _guard = override_scope(workers, 0);
+            let results = par_tasks("exec_test_order", 257, |i| i * 3 + 1);
+            assert_eq!(results, expected, "workers={workers}");
         }
     }
 
@@ -445,9 +283,9 @@ mod tests {
 
     #[test]
     fn every_task_runs_exactly_once_under_stealing() {
-        let _guard = override_scope(0, 0);
+        let _guard = override_scope(7, 0);
         let hits = AtomicU64::new(0);
-        let results = WorkStealing::new(7).run_tasks("exec_test_once", 1_000, |i| {
+        let results = par_tasks("exec_test_once", 1_000, |i| {
             hits.fetch_add(1, Ordering::Relaxed);
             i as u64
         });
@@ -457,10 +295,10 @@ mod tests {
 
     #[test]
     fn uneven_workloads_still_merge_in_order() {
-        let _guard = override_scope(0, 0);
-        // Task 0 is much slower than the rest: stealing reorders
-        // execution, the slot merge must not care.
-        let results = WorkStealing::new(4).run_tasks("exec_test_uneven", 64, |i| {
+        let _guard = override_scope(4, 0);
+        // Task 0 is much slower than the rest: the other workers drain
+        // the cursor meanwhile, the slot merge must not care.
+        let results = par_tasks("exec_test_uneven", 64, |i| {
             if i == 0 {
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -473,16 +311,25 @@ mod tests {
     fn threads_resolution_honors_override() {
         let _guard = override_scope(5, 0);
         assert_eq!(threads(), 5);
-        assert_eq!(Engine::current().workers(), 5);
         drop(_guard);
         let _guard = override_scope(1, 0);
-        assert!(matches!(Engine::current(), Engine::Serial(_)));
+        assert_eq!(threads(), 1);
     }
 
     #[test]
     fn pool_metrics_account_for_every_chunk() {
         let _guard = override_scope(4, 0);
-        let registry = wikistale_obs::MetricsRegistry::global();
+        let registry = MetricsRegistry::global();
+        let worker_tasks = || -> u64 {
+            (0..4)
+                .map(|k| {
+                    registry
+                        .counter(&format!("parallel/exec_test_metrics/worker{k}/tasks"))
+                        .get()
+                })
+                .sum()
+        };
+        let tasks_before = worker_tasks();
         let items: Vec<u64> = (0..4_096).collect();
         par_chunks("exec_test_metrics", &items, 64, |c| c.len());
         let snapshot = registry.snapshot();
@@ -490,17 +337,45 @@ mod tests {
         assert_eq!(snapshot.gauges["parallel/exec_test_metrics/chunks"], 64.0);
         let workers = snapshot.gauges["parallel/exec_test_metrics/workers"];
         assert!((1.0..=4.0).contains(&workers), "workers gauge {workers}");
+        assert_eq!(worker_tasks() - tasks_before, 64);
+    }
+
+    #[test]
+    fn counters_under_parallel_chunks_report_exact_totals() {
+        // Worker threads bump a shared counter handle; the registry must
+        // see every increment exactly once regardless of chunking.
+        let _guard = override_scope(4, 0);
+        let registry = MetricsRegistry::global();
+        let counter = registry.counter("exec_test_parallel_hits");
+        let before = counter.get();
+        let items: Vec<u64> = (0..10_000).collect();
+        par_chunks("exec_test_counted", &items, 8, |chunk| {
+            let counter = registry.counter("exec_test_parallel_hits");
+            for _ in chunk {
+                counter.incr();
+            }
+        });
+        assert_eq!(counter.get() - before, 10_000);
+        // Chunk wall times were recorded: as many observations as chunks.
+        let snapshot = registry.snapshot();
+        let stat = snapshot.spans["parallel/exec_test_counted/chunk"];
+        assert_eq!(
+            stat.count,
+            snapshot.gauges["parallel/exec_test_counted/chunks"] as u64
+        );
     }
 
     #[test]
     fn worker_panic_propagates() {
-        let _guard = override_scope(0, 0);
-        let caught = std::panic::catch_unwind(|| {
-            WorkStealing::new(3).run_tasks("exec_test_panic", 16, |i| {
-                assert!(i != 9, "boom");
-                i
-            })
-        });
-        assert!(caught.is_err());
+        for workers in [1, 3] {
+            let _guard = override_scope(workers, 0);
+            let caught = std::panic::catch_unwind(|| {
+                par_tasks("exec_test_panic", 16, |i| {
+                    assert!(i != 9, "boom");
+                    i
+                })
+            });
+            assert!(caught.is_err(), "workers={workers}");
+        }
     }
 }

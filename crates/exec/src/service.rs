@@ -1,10 +1,10 @@
 //! Long-lived bounded worker pool for non-batch callers.
 //!
-//! The batch engines in the crate root ([`crate::Execute`]) own the full
-//! task set up front, fan it out over scoped threads, and join before
-//! returning — the right shape for pipeline stages, and the wrong shape
-//! for a server that receives work one request at a time and must bound
-//! how much of it is admitted.
+//! The batch entry points in the crate root ([`crate::par_tasks`] and its
+//! adapters) own the full task set up front, fan it out over scoped
+//! threads, and join before returning — the right shape for pipeline
+//! stages, and the wrong shape for a server that receives work one
+//! request at a time and must bound how much of it is admitted.
 //!
 //! [`ServicePool`] fills that gap with three deliberate properties:
 //!

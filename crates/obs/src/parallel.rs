@@ -1,8 +1,8 @@
 //! Metric attribution for parallel execution pools.
 //!
 //! The execution layer (`wikistale-exec`) is metric-agnostic: it measures
-//! per-chunk wall times and per-worker scheduling activity, then hands the
-//! raw observations to [`record_pool`], which owns the naming scheme. All
+//! per-chunk wall times and per-worker task counts, then hands the raw
+//! observations to [`record_pool`], which owns the naming scheme. All
 //! pool metrics live under the `parallel/<label>/…` tree that the serial
 //! pipeline already used, so `--metrics` output keeps one namespace
 //! regardless of thread count:
@@ -13,34 +13,19 @@
 //! * gauge `parallel/<label>/workers` — workers used by the last run;
 //! * gauge `parallel/<label>/imbalance` — max chunk time ÷ mean chunk
 //!   time for the last run (1.0 = perfectly balanced);
-//! * gauge `parallel/<label>/queue_depth_max` — deepest per-worker deque
-//!   observed during the last run;
-//! * counter `parallel/<label>/steals` — cumulative successful steals;
-//! * counters `parallel/<label>/worker<K>/tasks` and
-//!   `parallel/<label>/worker<K>/steals` — cumulative per-worker
+//! * counters `parallel/<label>/worker<K>/tasks` — cumulative per-worker
 //!   attribution (worker indices are stable within one pool run).
 
 use crate::MetricsRegistry;
 use std::time::Duration;
 
-/// Scheduling activity of one worker during one pool run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerReport {
-    /// Chunks this worker executed.
-    pub tasks: u64,
-    /// Chunks this worker stole from another worker's deque.
-    pub steals: u64,
-    /// Deepest own-deque length observed when popping.
-    pub max_queue_depth: u64,
-}
-
 /// Record one pool run's observations into the global registry.
 ///
 /// `chunk_durations` holds one wall-time entry per executed chunk (in
 /// chunk order, though order does not matter for any derived metric);
-/// `reports` holds one entry per worker, indexed by worker id. A serial
-/// run passes a single synthetic worker report.
-pub fn record_pool(label: &str, chunk_durations: &[Duration], reports: &[WorkerReport]) {
+/// `worker_tasks` holds the number of chunks each worker executed,
+/// indexed by worker id. A serial run passes a single worker.
+pub fn record_pool(label: &str, chunk_durations: &[Duration], worker_tasks: &[u64]) {
     if chunk_durations.is_empty() {
         return;
     }
@@ -57,7 +42,10 @@ pub fn record_pool(label: &str, chunk_durations: &[Duration], reports: &[WorkerR
         &format!("parallel/{label}/chunks"),
         chunk_durations.len() as f64,
     );
-    registry.gauge_set(&format!("parallel/{label}/workers"), reports.len() as f64);
+    registry.gauge_set(
+        &format!("parallel/{label}/workers"),
+        worker_tasks.len() as f64,
+    );
     let mean = total.as_secs_f64() / chunk_durations.len() as f64;
     if mean > 0.0 {
         registry.gauge_set(
@@ -65,25 +53,11 @@ pub fn record_pool(label: &str, chunk_durations: &[Duration], reports: &[WorkerR
             max.as_secs_f64() / mean,
         );
     }
-    let mut steals_total = 0u64;
-    let mut depth_max = 0u64;
-    for (worker, report) in reports.iter().enumerate() {
-        steals_total += report.steals;
-        depth_max = depth_max.max(report.max_queue_depth);
+    for (worker, &tasks) in worker_tasks.iter().enumerate() {
         registry
             .counter(&format!("parallel/{label}/worker{worker}/tasks"))
-            .add(report.tasks);
-        registry
-            .counter(&format!("parallel/{label}/worker{worker}/steals"))
-            .add(report.steals);
+            .add(tasks);
     }
-    registry
-        .counter(&format!("parallel/{label}/steals"))
-        .add(steals_total);
-    registry.gauge_set(
-        &format!("parallel/{label}/queue_depth_max"),
-        depth_max as f64,
-    );
 }
 
 #[cfg(test)]
@@ -93,35 +67,23 @@ mod tests {
     #[test]
     fn record_pool_populates_the_parallel_tree() {
         let registry = MetricsRegistry::global();
-        let steals_before = registry.counter("parallel/pool_test/steals").get();
+        let tasks_before = registry.counter("parallel/pool_test/worker1/tasks").get();
         record_pool(
             "pool_test",
-            &[Duration::from_millis(2), Duration::from_millis(4)],
             &[
-                WorkerReport {
-                    tasks: 1,
-                    steals: 0,
-                    max_queue_depth: 1,
-                },
-                WorkerReport {
-                    tasks: 1,
-                    steals: 1,
-                    max_queue_depth: 2,
-                },
+                Duration::from_millis(2),
+                Duration::from_millis(4),
+                Duration::from_millis(3),
             ],
+            &[1, 2],
         );
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.spans["parallel/pool_test/chunk"].count, 2);
-        assert_eq!(snapshot.gauges["parallel/pool_test/chunks"], 2.0);
+        assert_eq!(snapshot.spans["parallel/pool_test/chunk"].count, 3);
+        assert_eq!(snapshot.gauges["parallel/pool_test/chunks"], 3.0);
         assert_eq!(snapshot.gauges["parallel/pool_test/workers"], 2.0);
-        assert_eq!(snapshot.gauges["parallel/pool_test/queue_depth_max"], 2.0);
         assert_eq!(
-            registry.counter("parallel/pool_test/steals").get() - steals_before,
-            1
-        );
-        assert_eq!(
-            registry.counter("parallel/pool_test/worker1/steals").get(),
-            1
+            registry.counter("parallel/pool_test/worker1/tasks").get() - tasks_before,
+            2
         );
         let imbalance = snapshot.gauges["parallel/pool_test/imbalance"];
         assert!(
@@ -133,7 +95,7 @@ mod tests {
     #[test]
     fn record_pool_with_no_chunks_is_a_no_op() {
         let registry = MetricsRegistry::global();
-        record_pool("pool_empty_test", &[], &[WorkerReport::default()]);
+        record_pool("pool_empty_test", &[], &[0]);
         let snapshot = registry.snapshot();
         assert!(!snapshot
             .spans

@@ -30,7 +30,8 @@ use wikistale_obs::MetricsRegistry;
 /// How the server is run: pool size, admission limit, deadline, cache.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads handling requests (floored at 1).
+    /// Worker threads handling requests (floored at 1); defaults to
+    /// [`wikistale_exec::threads`].
     pub threads: usize,
     /// Admission limit: connections queued beyond the workers before
     /// the accept thread starts shedding 503s (floored at 1).
@@ -47,7 +48,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            threads: 4,
+            threads: wikistale_exec::threads(),
             queue_limit: 64,
             deadline: Duration::from_millis(2_000),
             cache_entries: 4_096,
@@ -337,6 +338,12 @@ mod tests {
         let server = Server::new(Arc::new(tiny_artifacts()), config);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         server.spawn(listener).unwrap()
+    }
+
+    #[test]
+    fn default_threads_follow_the_exec_worker_count() {
+        let _guard = wikistale_exec::override_scope(3, 0);
+        assert_eq!(ServerConfig::default().threads, 3);
     }
 
     #[test]

@@ -635,7 +635,7 @@ impl ChangeCubeBuilder {
 }
 
 /// Changes per sort chunk. Large enough that chunk sort dominates the
-/// serial k-way merge; small enough for stealing to balance skewed data.
+/// serial k-way merge; small enough for the workers to balance skewed data.
 const SORT_CHUNK: usize = 32_768;
 
 /// Stable sort by [`Change::sort_key`]: fixed contiguous chunks are sorted

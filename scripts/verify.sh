@@ -26,6 +26,13 @@ run cargo test -q --offline -p wikistale-cli --test chaos
 run cargo test -q --offline -p wikistale-wikicube binio
 run cargo test -q --offline -p wikistale-cli --test differential
 
+# Execution-layer gates: the scheduler's unit suite (task order across
+# worker counts, exactly-once claims, panic propagation, pool metrics)
+# and the `parallel/<label>/…` metric recording it reports through, so an
+# engine regression fails on its own line.
+run cargo test -q --offline -p wikistale-exec
+run cargo test -q --offline -p wikistale-obs parallel
+
 # Columnar data plane: the row-vs-columnar differential tests live in the
 # differential suite above; this names them so a day-list or rebuild
 # regression fails on its own line.
