@@ -5,8 +5,10 @@
 //! 1. changes directly reverted by Wikipedia bots (0.008 % of the raw
 //!    corpus),
 //! 2. same-day churn: all changes of one field on one day collapse into a
-//!    single *representative* change — the mode of the day's values,
-//!    most-recent value on ties (19.185 % of the raw corpus),
+//!    single change (19.185 % of the raw corpus). Here that collapse
+//!    happens when the cube is built: a [`ChangeCube`] keeps one change
+//!    per `(day, entity, property)`, the day's last write, so this stage
+//!    always reports 0 removed,
 //! 3. creations and deletions, which the predictors do not model
 //!    (61.373 %),
 //! 4. changes of fields with fewer than five remaining changes
@@ -16,14 +18,15 @@
 //! the pipeline and reports per-stage removal counts so the `dataset_stats`
 //! experiment can print them next to the paper's numbers.
 
-use wikistale_wikicube::{Change, ChangeCube, ChangeKind, FieldId, FxHashMap};
+use wikistale_wikicube::{ChangeColumns, ChangeCube, ChangeKind, FieldId, FxHashMap};
 
 /// Which filter stages to run. [`FilterPipeline::paper`] enables all four.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterPipeline {
     /// Drop changes flagged as bot-reverted.
     pub drop_bot_reverted: bool,
-    /// Collapse each field's same-day changes into a representative.
+    /// Report the same-day stage. Cubes hold one change per field and
+    /// day already, so the stage removes nothing.
     pub dedup_days: bool,
     /// Drop creations and deletions.
     pub drop_creations_deletions: bool,
@@ -55,110 +58,147 @@ impl FilterPipeline {
 
     /// Run the enabled stages in paper order, returning the filtered cube
     /// and the per-stage report.
+    ///
+    /// Two passes over the change columns: `count` tallies what each stage
+    /// removes and, per field, the changes that pass the bot-revert and
+    /// kind predicates; `write` then copies the survivors that also meet
+    /// `min_changes` into exact-length columns. The output shares the
+    /// input's dimension tables.
     pub fn apply(&self, cube: &ChangeCube) -> (ChangeCube, FilterReport) {
         let obs = wikistale_obs::MetricsRegistry::global();
         let _span = obs.span("filter");
-        let original = cube.num_changes();
+        let cols = cube.columns();
+        let tally = {
+            let _s = obs.span("count");
+            self.count(cols)
+        };
+        let report = self.report(cols.len(), &tally);
+        let filtered = {
+            let _s = obs.span("write");
+            // `retain_rows` visits rows in order, so the passing rows'
+            // field slots come up in the order the count pass recorded them.
+            let mut slots = tally.row_slots.iter();
+            cube.retain_rows(|i| {
+                (tally.passing[i / 64] >> (i % 64)) & 1 == 1
+                    && self.min_changes.is_none_or(|min| {
+                        slots
+                            .next()
+                            .is_some_and(|&slot| tally.per_field[slot as usize] as usize >= min)
+                    })
+            })
+        };
+        debug_assert_eq!(
+            report
+                .stages
+                .last()
+                .map_or(report.original, |s| s.remaining),
+            filtered.num_changes()
+        );
+        obs.counter("filter/removed")
+            .add((report.original - filtered.num_changes()) as u64);
+        obs.counter("filter/surviving")
+            .add(filtered.num_changes() as u64);
+        (filtered, report)
+    }
+
+    /// The count pass: one walk over the kind, flag and field columns.
+    fn count(&self, cols: &ChangeColumns) -> Tally {
+        debug_assert_eq!(
+            same_day_duplicates(cols),
+            0,
+            "a cube holds one change per (day, entity, property)"
+        );
+        let mut tally = Tally {
+            passing: vec![0; cols.len().div_ceil(64)],
+            ..Tally::default()
+        };
+        let mut slot_of: FxHashMap<FieldId, u32> = FxHashMap::default();
+        for (i, (&kind, flags)) in cols.kinds().iter().zip(cols.flags()).enumerate() {
+            if self.drop_bot_reverted && flags.is_bot_reverted() {
+                tally.bot_reverted += 1;
+            } else if self.drop_creations_deletions && kind != ChangeKind::Update {
+                tally.creations_deletions += 1;
+            } else {
+                tally.passing[i / 64] |= 1 << (i % 64);
+                if self.min_changes.is_some() {
+                    let field = FieldId::new(cols.entities()[i], cols.properties()[i]);
+                    let next = slot_of.len() as u32;
+                    let slot = *slot_of.entry(field).or_insert(next);
+                    if slot == next {
+                        tally.per_field.push(0);
+                    }
+                    tally.per_field[slot as usize] += 1;
+                    tally.row_slots.push(slot);
+                }
+            }
+        }
+        tally
+    }
+
+    /// The stage list of [`FilterPipeline::apply`], derived from the
+    /// count pass.
+    fn report(&self, original: usize, tally: &Tally) -> FilterReport {
         let mut report = FilterReport {
             original,
             stages: Vec::with_capacity(4),
         };
-        let mut current = cube.clone();
-
         if self.drop_bot_reverted {
-            let _s = obs.span("bot_reverted");
-            let next = current.retain_changes(|c| !c.flags.is_bot_reverted());
-            report.push_stage("bot-reverted", &current, &next);
-            current = next;
+            report.push_stage("bot-reverted", tally.bot_reverted);
         }
         if self.dedup_days {
-            let _s = obs.span("dedup_days");
-            let next = current
-                .with_changes(dedup_days(current.iter_changes()))
-                .expect("dedup preserves referential integrity");
-            report.push_stage("same-day duplicates", &current, &next);
-            current = next;
+            report.push_stage("same-day duplicates", 0);
         }
         if self.drop_creations_deletions {
-            let _s = obs.span("creations_deletions");
-            let next = current.retain_changes(|c| c.kind == ChangeKind::Update);
-            report.push_stage("creations & deletions", &current, &next);
-            current = next;
+            report.push_stage("creations & deletions", tally.creations_deletions);
         }
         if let Some(min) = self.min_changes {
-            let _s = obs.span("min_changes");
-            let mut counts: FxHashMap<FieldId, usize> = FxHashMap::default();
-            for c in current.iter_changes() {
-                *counts.entry(c.field()).or_insert(0) += 1;
-            }
-            let next = current.retain_changes(|c| counts[&c.field()] >= min);
-            report.push_stage("fields with < min changes", &current, &next);
-            current = next;
+            let sparse: u64 = tally
+                .per_field
+                .iter()
+                .filter(|&&n| (n as usize) < min)
+                .map(|&n| u64::from(n))
+                .sum();
+            report.push_stage("fields with < min changes", sparse as usize);
         }
-        obs.counter("filter/removed")
-            .add((original - current.num_changes()) as u64);
-        obs.counter("filter/surviving")
-            .add(current.num_changes() as u64);
-        (current, report)
+        report
     }
+}
+
+/// What the count pass of [`FilterPipeline::apply`] found.
+#[derive(Default)]
+struct Tally {
+    /// Bit `i % 64` of word `i / 64` is set when row `i` survives the
+    /// bot-revert and kind stages.
+    passing: Vec<u64>,
+    /// Changes the bot-revert stage removes.
+    bot_reverted: usize,
+    /// Changes the creation/deletion stage removes.
+    creations_deletions: usize,
+    /// Per field slot (fields numbered in first-seen order), the changes
+    /// that survive both predicates. Filled only when the minimum-change
+    /// stage is enabled, as is `row_slots`.
+    per_field: Vec<u32>,
+    /// The field slot of each change that survives both predicates, in
+    /// row order.
+    row_slots: Vec<u32>,
+}
+
+/// Adjacent rows sharing `(day, entity, property)`: the changes a
+/// same-day collapse would remove.
+fn same_day_duplicates(cols: &ChangeColumns) -> usize {
+    (1..cols.len())
+        .filter(|&i| {
+            cols.days()[i] == cols.days()[i - 1]
+                && cols.entities()[i] == cols.entities()[i - 1]
+                && cols.properties()[i] == cols.properties()[i - 1]
+        })
+        .count()
 }
 
 impl Default for FilterPipeline {
     fn default() -> FilterPipeline {
         FilterPipeline::paper()
     }
-}
-
-/// Collapse each field's changes of one day into a representative change:
-/// the mode of the day's values; ties keep the most recent value.
-///
-/// [`ChangeCube`] construction already canonicalizes same-day writes to
-/// one slot (last value wins), so on cubes built by this workspace each
-/// group has size one and the stage removes nothing; it remains as
-/// defense in depth for change tables assembled outside the constructor
-/// and to keep the report's stage list aligned with the paper's §4.
-///
-/// The input must be in canonical `(day, entity, property)` order (as
-/// [`ChangeCube::iter_changes`] guarantees), which makes each (field, day)
-/// group contiguous.
-fn dedup_days(changes: impl IntoIterator<Item = Change>) -> Vec<Change> {
-    let mut out = Vec::new();
-    let mut group: Vec<Change> = Vec::new();
-    for c in changes {
-        if let Some(head) = group.first() {
-            if (head.day, head.entity, head.property) != (c.day, c.entity, c.property) {
-                out.push(representative(&group));
-                group.clear();
-            }
-        }
-        group.push(c);
-    }
-    if !group.is_empty() {
-        out.push(representative(&group));
-    }
-    out
-}
-
-/// Pick the representative of one (field, day) group: the latest change
-/// whose value is the (most recent on ties) mode of the group's values.
-fn representative(group: &[Change]) -> Change {
-    debug_assert!(!group.is_empty());
-    if group.len() == 1 {
-        return group[0];
-    }
-    // Group sizes are tiny (vandalism bursts); count by value id directly.
-    let mut best = group[0];
-    let mut best_count = 0usize;
-    for (idx, c) in group.iter().enumerate() {
-        let count = group.iter().filter(|o| o.value == c.value).count();
-        // `>=` prefers later changes: most recent value wins ties, and the
-        // latest occurrence of the winning value is kept.
-        if count >= best_count {
-            best = group[idx];
-            best_count = count;
-        }
-    }
-    best
 }
 
 /// One stage's effect inside a [`FilterReport`].
@@ -182,11 +222,12 @@ pub struct FilterReport {
 }
 
 impl FilterReport {
-    fn push_stage(&mut self, name: &'static str, before: &ChangeCube, after: &ChangeCube) {
+    fn push_stage(&mut self, name: &'static str, removed: usize) {
+        let before = self.stages.last().map_or(self.original, |s| s.remaining);
         self.stages.push(FilterStage {
             name,
-            removed: before.num_changes() - after.num_changes(),
-            remaining: after.num_changes(),
+            removed,
+            remaining: before - removed,
         });
     }
 
@@ -213,10 +254,221 @@ impl FilterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wikistale_wikicube::{ChangeCubeBuilder, ChangeFlags, Date};
+    use proptest::prelude::*;
+    use std::sync::Arc;
+    use wikistale_synth::{generate, SynthConfig};
+    use wikistale_wikicube::{
+        binio, merge, slice, ChangeCubeBuilder, ChangeFlags, Date, DateRange,
+    };
 
     fn day(n: i32) -> Date {
         Date::EPOCH + n
+    }
+
+    /// The staged pipeline `apply` replaced, kept as its reference: a
+    /// clone of the input, then one derived cube per enabled stage.
+    fn staged_reference(p: &FilterPipeline, cube: &ChangeCube) -> (ChangeCube, FilterReport) {
+        fn record(report: &mut FilterReport, name: &'static str, next: &ChangeCube) {
+            let before = report
+                .stages
+                .last()
+                .map_or(report.original, |s| s.remaining);
+            report.stages.push(FilterStage {
+                name,
+                removed: before - next.num_changes(),
+                remaining: next.num_changes(),
+            });
+        }
+        let mut report = FilterReport {
+            original: cube.num_changes(),
+            stages: Vec::new(),
+        };
+        let mut current = cube.clone();
+        if p.drop_bot_reverted {
+            current = current.retain_changes(|c| !c.flags.is_bot_reverted());
+            record(&mut report, "bot-reverted", &current);
+        }
+        if p.dedup_days {
+            current = current.with_changes(current.changes_vec()).unwrap();
+            record(&mut report, "same-day duplicates", &current);
+        }
+        if p.drop_creations_deletions {
+            current = current.retain_changes(|c| c.kind == ChangeKind::Update);
+            record(&mut report, "creations & deletions", &current);
+        }
+        if let Some(min) = p.min_changes {
+            let mut counts: FxHashMap<FieldId, usize> = FxHashMap::default();
+            for c in current.iter_changes() {
+                *counts.entry(c.field()).or_insert(0) += 1;
+            }
+            current = current.retain_changes(|c| counts[&c.field()] >= min);
+            record(&mut report, "fields with < min changes", &current);
+        }
+        (current, report)
+    }
+
+    /// All 16 configurations: three stage switches × `min_changes` ∈
+    /// {None, Some(5)}.
+    fn all_pipelines() -> impl Iterator<Item = FilterPipeline> {
+        (0..16u32).map(|bits| FilterPipeline {
+            drop_bot_reverted: bits & 1 != 0,
+            dedup_days: bits & 2 != 0,
+            drop_creations_deletions: bits & 4 != 0,
+            min_changes: (bits & 8 != 0).then_some(5),
+        })
+    }
+
+    /// Run `apply` and the staged reference and compare them: the same
+    /// rows, report and dimension tables, with the output rows a
+    /// subsequence of the input rows (filtering only ever removes).
+    fn check_against_reference(p: &FilterPipeline, cube: &ChangeCube) -> Result<(), String> {
+        let (got, report) = p.apply(cube);
+        let (want, want_report) = staged_reference(p, cube);
+        let rows = got.changes_vec();
+        if rows != want.changes_vec() {
+            return Err(format!("{p:?}: rows differ from the staged reference"));
+        }
+        if report != want_report {
+            return Err(format!("{p:?}: {report:?} != {want_report:?}"));
+        }
+        if **got.dimensions() != **want.dimensions() || **got.dimensions() != **cube.dimensions() {
+            return Err(format!("{p:?}: dimension tables differ"));
+        }
+        let mut input = cube.iter_changes();
+        if !rows.iter().all(|r| input.any(|c| c == *r)) {
+            return Err(format!("{p:?}: output is not a subsequence of the input"));
+        }
+        Ok(())
+    }
+
+    /// Random cubes over few days, entities and properties, so fields
+    /// cross the minimum-change threshold both ways, with every change
+    /// kind, some bot-reverted rows and same-day writes to one slot.
+    fn arb_cube() -> impl Strategy<Value = ChangeCube> {
+        proptest::collection::vec(
+            (0i32..40, 0usize..4, 0usize..3, 0u8..3, 0u8..5, "[a-c]"),
+            0..160,
+        )
+        .prop_map(|rows| {
+            let mut b = ChangeCubeBuilder::new();
+            let entities: Vec<_> = (0..4)
+                .map(|i| b.entity(&format!("e{i}"), &format!("t{}", i % 2), &format!("pg{i}")))
+                .collect();
+            let props: Vec<_> = (0..3).map(|i| b.property(&format!("p{i}"))).collect();
+            for (d, e, p, kind, bot, value) in rows {
+                let flags = if bot == 0 {
+                    ChangeFlags::BOT_REVERTED
+                } else {
+                    ChangeFlags::NONE
+                };
+                let kind = ChangeKind::from_u8(kind).unwrap();
+                b.change_full(day(d), entities[e], props[p], &value, kind, flags);
+            }
+            b.finish()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_filters_match_staged_reference(cube in arb_cube()) {
+            for p in all_pipelines() {
+                let checked = check_against_reference(&p, &cube);
+                prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+            }
+        }
+    }
+
+    #[test]
+    fn filters_match_staged_reference_on_synth_tiny() {
+        let cube = generate(&SynthConfig::tiny()).cube;
+        for p in all_pipelines() {
+            check_against_reference(&p, &cube).unwrap();
+        }
+    }
+
+    #[test]
+    fn paper_filters_match_staged_reference_on_synth_small() {
+        let cube = generate(&SynthConfig::small()).cube;
+        check_against_reference(&FilterPipeline::paper(), &cube).unwrap();
+    }
+
+    #[test]
+    fn filter_output_shares_dimension_tables() {
+        let cube = generate(&SynthConfig::tiny()).cube;
+        let (filtered, _) = FilterPipeline::paper().apply(&cube);
+        assert!(filtered.num_changes() < cube.num_changes());
+        assert!(Arc::ptr_eq(filtered.dimensions(), cube.dimensions()));
+    }
+
+    /// Every way the workspace builds a cube leaves it canonical: sorted
+    /// by `(day, entity, property)` with no two adjacent rows sharing that
+    /// key. This is why the same-day stage removes nothing.
+    #[test]
+    fn filters_see_only_canonical_cubes() {
+        fn assert_canonical(cube: &ChangeCube, built_by: &str) {
+            let cols = cube.columns();
+            assert_eq!(
+                same_day_duplicates(cols),
+                0,
+                "{built_by}: same-day duplicates"
+            );
+            assert!(
+                cube.iter_changes().is_sorted_by_key(|c| c.sort_key()),
+                "{built_by}: not in canonical order"
+            );
+        }
+
+        // Unsorted builder input with same-day writes to one slot.
+        let mut b = ChangeCubeBuilder::new();
+        let e = b.entity("E", "t", "P");
+        let f = b.entity("F", "t", "Q");
+        let p = b.property("p");
+        let q = b.property("q");
+        for (d, ent, prop, v) in [
+            (3, f, q, "a"),
+            (1, e, p, "b"),
+            (3, f, q, "c"),
+            (1, e, p, "d"),
+        ] {
+            b.change(day(d), ent, prop, v, ChangeKind::Update);
+        }
+        b.change(day(2), e, q, "e", ChangeKind::Create);
+        let built = b.finish();
+        assert_eq!(built.num_changes(), 3);
+        assert_canonical(&built, "ChangeCubeBuilder::finish");
+
+        let synth = generate(&SynthConfig::tiny()).cube;
+        assert_canonical(&synth, "synth");
+        let decoded = binio::decode(&binio::encode(&synth)).unwrap();
+        assert_canonical(&decoded, "binio::decode");
+
+        let mut rows = synth.changes_vec();
+        rows.extend(synth.changes_vec().into_iter().step_by(7));
+        rows.reverse();
+        let rebuilt = synth.with_changes(rows).unwrap();
+        assert_eq!(rebuilt.num_changes(), synth.num_changes());
+        assert_canonical(&rebuilt, "with_changes");
+
+        assert_canonical(
+            &synth.retain_changes(|c| c.kind != ChangeKind::Delete),
+            "retain_changes",
+        );
+        let span = synth.time_span().unwrap();
+        let mid = span.start().plus_days((span.end() - span.start()) / 2);
+        let (left, right) = (
+            slice(&synth, DateRange::new(span.start(), mid)),
+            slice(&synth, DateRange::new(mid, span.end())),
+        );
+        assert_canonical(&left, "slice");
+        let merged = merge([&left, &right, &synth]).unwrap();
+        assert_eq!(merged.num_changes(), synth.num_changes());
+        assert_canonical(&merged, "merge");
+
+        let xml = wikistale_wikitext::render_export(&wikistale_wikitext::cube_to_dump(&synth));
+        let pages = wikistale_wikitext::parse_export(&xml).unwrap();
+        assert_canonical(&wikistale_wikitext::build_cube(&pages), "wikitext ingest");
     }
 
     #[test]
@@ -250,7 +502,8 @@ mod tests {
         let mut b = ChangeCubeBuilder::new();
         let e = b.entity("E", "t", "P");
         let p = b.property("p");
-        // Vandal value once, real value twice → mode is the real value.
+        // Vandal value once, real value twice: the cube keeps the day's
+        // last write, which here is also the mode.
         b.change(day(1), e, p, "vandal", ChangeKind::Update);
         b.change(day(1), e, p, "real", ChangeKind::Update);
         b.change(day(1), e, p, "real", ChangeKind::Update);
@@ -270,6 +523,7 @@ mod tests {
         let mut b = ChangeCubeBuilder::new();
         let e = b.entity("E", "t", "P");
         let p = b.property("p");
+        // A tie: the cube keeps the day's last write.
         b.change(day(1), e, p, "first", ChangeKind::Update);
         b.change(day(1), e, p, "second", ChangeKind::Update);
         let (cube, _) = FilterPipeline {
@@ -385,8 +639,9 @@ mod tests {
 
     #[test]
     fn dedup_preserves_sort_order_for_downstream_filters() {
-        // After dedup the cube must still be canonically ordered so a
-        // second application is a no-op (idempotence).
+        // Same-day writes collapse at construction and the filtered cube
+        // stays canonically ordered, so a second application is a no-op
+        // (idempotence).
         let mut b = ChangeCubeBuilder::new();
         let e = b.entity("E", "t", "P");
         let p = b.property("p");

@@ -14,8 +14,9 @@
 //! The pipeline:
 //!
 //! 1. **Filtering** ([`filters`], §4) — drop bot-reverted edits, collapse
-//!    each field's edits of one day into a representative change, drop
-//!    creations/deletions, drop fields with fewer than five changes.
+//!    each field's edits of one day into one change (done when the cube
+//!    is built: the day's last write), drop creations/deletions, drop
+//!    fields with fewer than five changes.
 //! 2. **Predictors** ([`predictors`], §3.2–3.3) —
 //!    [`predictors::FieldCorrelation`] finds same-page field pairs whose
 //!    daily change vectors are close under a normalized Manhattan

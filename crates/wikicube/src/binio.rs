@@ -43,7 +43,7 @@
 
 use crate::change::{Change, ChangeFlags, ChangeKind};
 use crate::crc32::{crc32, Crc32};
-use crate::cube::{ChangeCube, EntityMeta};
+use crate::cube::{ChangeCube, Dimensions, EntityMeta};
 use crate::date::Date;
 use crate::error::CubeError;
 use crate::ids::{EntityId, PageId, PropertyId, TemplateId, ValueId};
@@ -51,6 +51,7 @@ use crate::intern::Interner;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"WCUBE\0\0\0";
 const VERSION: u32 = 3;
@@ -212,15 +213,8 @@ fn decode_framed(body: &[u8]) -> Result<ChangeCube, CubeError> {
     let values = parse_interner_section(frames[4].0, "values")?;
     let entity_meta = parse_entity_meta_section(frames[5].0)?;
     let changes = parse_changes_section(frames[6].0)?;
-    ChangeCube::from_parts(
-        entities,
-        properties,
-        templates,
-        pages,
-        values,
-        entity_meta,
-        changes,
-    )
+    let dims = Dimensions::new(entities, properties, templates, pages, values, entity_meta)?;
+    ChangeCube::from_parts(Arc::new(dims), changes)
 }
 
 /// Read one framed section without verifying its checksum: length

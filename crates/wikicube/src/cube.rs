@@ -49,29 +49,27 @@ impl ChangeColumns {
             flags: Vec::with_capacity(rows.len()),
         };
         for c in rows {
-            cols.push(*c);
+            cols.days.push(c.day);
+            cols.entities.push(c.entity);
+            cols.properties.push(c.property);
+            cols.values.push(c.value);
+            cols.kinds.push(c.kind);
+            cols.flags.push(c.flags);
         }
         cols
     }
 
-    fn push(&mut self, c: Change) {
-        self.days.push(c.day);
-        self.entities.push(c.entity);
-        self.properties.push(c.property);
-        self.values.push(c.value);
-        self.kinds.push(c.kind);
-        self.flags.push(c.flags);
-    }
-
-    /// Give back the growth slack of incrementally built columns. Cubes
-    /// are immutable once constructed, so there is nothing to grow into.
-    fn shrink_to_fit(&mut self) {
-        self.days.shrink_to_fit();
-        self.entities.shrink_to_fit();
-        self.properties.shrink_to_fit();
-        self.values.shrink_to_fit();
-        self.kinds.shrink_to_fit();
-        self.flags.shrink_to_fit();
+    /// The rows whose bit is set in `mask` (bit `i % 64` of word `i / 64`
+    /// marks row `i`), in order, as columns of exactly `kept` rows.
+    fn select(&self, mask: &[u64], kept: usize) -> ChangeColumns {
+        ChangeColumns {
+            days: gather(&self.days, mask, kept),
+            entities: gather(&self.entities, mask, kept),
+            properties: gather(&self.properties, mask, kept),
+            values: gather(&self.values, mask, kept),
+            kinds: gather(&self.kinds, mask, kept),
+            flags: gather(&self.flags, mask, kept),
+        }
     }
 
     /// Number of changes.
@@ -139,6 +137,21 @@ impl ChangeColumns {
     }
 }
 
+/// The elements of `column` at the rows set in `mask`, into a vector
+/// allocated once at its final length `kept`.
+fn gather<T: Copy>(column: &[T], mask: &[u64], kept: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(kept);
+    for (word_idx, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(column[word_idx * 64 + bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
+        }
+    }
+    debug_assert_eq!(out.len(), kept);
+    out
+}
+
 /// Double-ended, exact-size iterator materializing [`Change`]s on demand
 /// from a [`ChangeColumns`] row range.
 #[derive(Debug, Clone)]
@@ -169,44 +182,36 @@ impl DoubleEndedIterator for Changes<'_> {
 impl ExactSizeIterator for Changes<'_> {}
 impl std::iter::FusedIterator for Changes<'_> {}
 
-/// An immutable, canonically-ordered collection of infobox changes together
-/// with the dimension tables (interners) its ids refer to.
+/// The dimension tables a cube's ids refer to: one [`Interner`] per
+/// string-valued dimension plus the per-entity [`EntityMeta`].
 ///
-/// The change table is columnar (see [`ChangeColumns`]), sorted by
-/// `(day, entity, property)` and holds at most one change per key: when
-/// several same-day changes hit one (entity, property) slot, the last
-/// value written wins (matching how an infobox read at end of day sees
-/// only the final revision). Sorting makes time-range scans a binary
-/// search plus a linear walk and lets the filter pipeline stream in one
-/// pass. The cube also owns the canonical per-field day lists
-/// ([`ChangeCube::day_lists`]), built lazily once and shared by the
-/// index, the correlation search and the Apriori transaction builder.
-#[derive(Debug, Clone, Default)]
-pub struct ChangeCube {
+/// Immutable once built. A cube holds its tables behind one `Arc`, and
+/// every cube derived from it by `clone`, [`ChangeCube::retain_rows`],
+/// [`ChangeCube::retain_changes`] or [`ChangeCube::with_changes`] shares
+/// that allocation, so deriving a cube copies change columns only and ids
+/// stay valid across the derivation. [`crate::slice`] and [`crate::merge`] re-intern into fresh
+/// tables instead.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Dimensions {
     entities: Interner,
     properties: Interner,
     templates: Interner,
     pages: Interner,
     values: Interner,
     entity_meta: Vec<EntityMeta>,
-    columns: ChangeColumns,
-    day_store: OnceLock<Arc<DayListStore>>,
 }
 
-impl ChangeCube {
-    /// Assemble a cube from already-built parts. Used by the builder and by
-    /// the persistence layer; validates referential integrity and restores
-    /// the canonical form (sorted, one change per `(day, entity, property)`
-    /// with the last value winning).
-    pub(crate) fn from_parts(
+impl Dimensions {
+    /// Bundle the tables, checking that every entity has one metadata row
+    /// and that each row's template and page ids resolve.
+    pub(crate) fn new(
         entities: Interner,
         properties: Interner,
         templates: Interner,
         pages: Interner,
         values: Interner,
         entity_meta: Vec<EntityMeta>,
-        mut changes: Vec<Change>,
-    ) -> Result<ChangeCube, CubeError> {
+    ) -> Result<Dimensions, CubeError> {
         if entity_meta.len() != entities.len() {
             return Err(CubeError::Corrupt(format!(
                 "{} entities but {} metadata rows",
@@ -228,17 +233,58 @@ impl ChangeCube {
                 )));
             }
         }
+        Ok(Dimensions {
+            entities,
+            properties,
+            templates,
+            pages,
+            values,
+            entity_meta,
+        })
+    }
+}
+
+/// An immutable, canonically-ordered collection of infobox changes together
+/// with the dimension tables (interners) its ids refer to.
+///
+/// The change table is columnar (see [`ChangeColumns`]), sorted by
+/// `(day, entity, property)` and holds at most one change per key: when
+/// several same-day changes hit one (entity, property) slot, the last
+/// value written wins (matching how an infobox read at end of day sees
+/// only the final revision). Sorting makes time-range scans a binary
+/// search plus a linear walk and lets the filter pipeline stream in one
+/// pass. The dimension tables are shared by `Arc` (see [`Dimensions`]).
+/// The cube also owns the canonical per-field day lists
+/// ([`ChangeCube::day_lists`]), built lazily once and shared by the
+/// index, the correlation search and the Apriori transaction builder.
+#[derive(Debug, Clone, Default)]
+pub struct ChangeCube {
+    dims: Arc<Dimensions>,
+    columns: ChangeColumns,
+    day_store: OnceLock<Arc<DayListStore>>,
+}
+
+impl ChangeCube {
+    /// Assemble a cube from already-built parts. Used by the builder, by
+    /// the persistence layer and by [`ChangeCube::with_changes`];
+    /// validates that every change's ids resolve in `dims` and restores
+    /// the canonical form (sorted, one change per `(day, entity,
+    /// property)` with the last value winning).
+    pub(crate) fn from_parts(
+        dims: Arc<Dimensions>,
+        mut changes: Vec<Change>,
+    ) -> Result<ChangeCube, CubeError> {
         for c in &changes {
-            if c.entity.index() >= entities.len() {
+            if c.entity.index() >= dims.entities.len() {
                 return Err(CubeError::DanglingId(format!("change entity {}", c.entity)));
             }
-            if c.property.index() >= properties.len() {
+            if c.property.index() >= dims.properties.len() {
                 return Err(CubeError::DanglingId(format!(
                     "change property {}",
                     c.property
                 )));
             }
-            if c.value.index() >= values.len() {
+            if c.value.index() >= dims.values.len() {
                 return Err(CubeError::DanglingId(format!("change value {}", c.value)));
             }
         }
@@ -256,15 +302,16 @@ impl ChangeCube {
             }
         });
         Ok(ChangeCube {
-            entities,
-            properties,
-            templates,
-            pages,
-            values,
-            entity_meta,
+            dims,
             columns: ChangeColumns::from_rows(&changes),
             day_store: OnceLock::new(),
         })
+    }
+
+    /// The shared dimension tables. Cubes derived without re-interning
+    /// return the same `Arc` (compare with [`Arc::ptr_eq`]).
+    pub fn dimensions(&self) -> &Arc<Dimensions> {
+        &self.dims
     }
 
     /// The columnar change table, in canonical order.
@@ -299,112 +346,112 @@ impl ChangeCube {
 
     /// Number of distinct entities (infoboxes).
     pub fn num_entities(&self) -> usize {
-        self.entities.len()
+        self.dims.entities.len()
     }
 
     /// Number of distinct property names.
     pub fn num_properties(&self) -> usize {
-        self.properties.len()
+        self.dims.properties.len()
     }
 
     /// Number of distinct templates.
     pub fn num_templates(&self) -> usize {
-        self.templates.len()
+        self.dims.templates.len()
     }
 
     /// Number of distinct pages.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.dims.pages.len()
     }
 
     /// Number of distinct interned values.
     pub fn num_values(&self) -> usize {
-        self.values.len()
+        self.dims.values.len()
     }
 
     /// The template an entity belongs to.
     pub fn template_of(&self, entity: EntityId) -> TemplateId {
-        self.entity_meta[entity.index()].template
+        self.dims.entity_meta[entity.index()].template
     }
 
     /// The page an entity lives on.
     pub fn page_of(&self, entity: EntityId) -> PageId {
-        self.entity_meta[entity.index()].page
+        self.dims.entity_meta[entity.index()].page
     }
 
     /// Per-entity metadata table, indexed by [`EntityId`].
     pub fn entity_meta(&self) -> &[EntityMeta] {
-        &self.entity_meta
+        &self.dims.entity_meta
     }
 
     /// Resolve an entity id to its name.
     pub fn entity_name(&self, id: EntityId) -> &str {
-        self.entities.resolve(id.0)
+        self.dims.entities.resolve(id.0)
     }
 
     /// Resolve a property id to its name.
     pub fn property_name(&self, id: PropertyId) -> &str {
-        self.properties.resolve(id.0)
+        self.dims.properties.resolve(id.0)
     }
 
     /// Resolve a template id to its name.
     pub fn template_name(&self, id: TemplateId) -> &str {
-        self.templates.resolve(id.0)
+        self.dims.templates.resolve(id.0)
     }
 
     /// Resolve a page id to its title.
     pub fn page_title(&self, id: PageId) -> &str {
-        self.pages.resolve(id.0)
+        self.dims.pages.resolve(id.0)
     }
 
     /// Resolve a value id to its text.
     pub fn value_text(&self, id: ValueId) -> &str {
-        self.values.resolve(id.0)
+        self.dims.values.resolve(id.0)
     }
 
     /// Look up an entity by name.
     pub fn entity_id(&self, name: &str) -> Option<EntityId> {
-        self.entities.get(name).map(EntityId)
+        self.dims.entities.get(name).map(EntityId)
     }
 
     /// Look up a property by name.
     pub fn property_id(&self, name: &str) -> Option<PropertyId> {
-        self.properties.get(name).map(PropertyId)
+        self.dims.properties.get(name).map(PropertyId)
     }
 
     /// Look up a template by name.
     pub fn template_id(&self, name: &str) -> Option<TemplateId> {
-        self.templates.get(name).map(TemplateId)
+        self.dims.templates.get(name).map(TemplateId)
     }
 
     /// Look up a page by title.
     pub fn page_id(&self, title: &str) -> Option<PageId> {
-        self.pages.get(title).map(PageId)
+        self.dims.pages.get(title).map(PageId)
     }
 
     /// The entity-name interner (id-ordered).
     pub fn entities(&self) -> &Interner {
-        &self.entities
+        &self.dims.entities
     }
 
     /// The property-name interner (id-ordered).
     pub fn properties(&self) -> &Interner {
-        &self.properties
+        &self.dims.properties
     }
 
     /// The template-name interner (id-ordered).
     pub fn templates(&self) -> &Interner {
-        &self.templates
+        &self.dims.templates
     }
 
     /// The page-title interner (id-ordered).
     pub fn pages(&self) -> &Interner {
-        &self.pages
+        &self.dims.pages
     }
 
     /// The value interner (id-ordered).
     pub fn values(&self) -> &Interner {
-        &self.values
+        &self.dims.values
     }
 
     /// Half-open day range `[first change day, last change day + 1)`, or
@@ -461,43 +508,45 @@ impl ChangeCube {
         self.num_changes() * std::mem::size_of::<Change>()
     }
 
-    /// A new cube over the same dimension tables keeping only changes for
-    /// which `keep` returns `true`. This is the primitive the filter
-    /// pipeline is built on; dimension tables are shared unchanged so ids
-    /// remain stable across filtering.
+    /// A new cube keeping only the changes for which `keep` returns
+    /// `true`, in order. The dimension tables are shared, not copied, so
+    /// ids remain stable across filtering. See
+    /// [`ChangeCube::retain_rows`].
     pub fn retain_changes(&self, mut keep: impl FnMut(&Change) -> bool) -> ChangeCube {
-        let mut columns = ChangeColumns::default();
-        for c in self.iter_changes() {
-            if keep(&c) {
-                columns.push(c);
+        self.retain_rows(|i| keep(&self.columns.get(i)))
+    }
+
+    /// A new cube keeping only the rows `i` of the canonical order for
+    /// which `keep(i)` returns `true`: the primitive the filter pipeline
+    /// is built on, for predicates that read only some of
+    /// [`ChangeCube::columns`]. `keep` is called exactly once per row, in
+    /// row order. It marks a bitmap; each output column is then allocated
+    /// once at its exact length. The dimension tables are shared.
+    pub fn retain_rows(&self, mut keep: impl FnMut(usize) -> bool) -> ChangeCube {
+        let n = self.num_changes();
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        let mut kept = 0usize;
+        for (w, word) in mask.iter_mut().enumerate() {
+            let base = w * 64;
+            for i in base..n.min(base + 64) {
+                if keep(i) {
+                    *word |= 1 << (i - base);
+                }
             }
+            kept += word.count_ones() as usize;
         }
-        columns.shrink_to_fit();
         ChangeCube {
-            entities: self.entities.clone(),
-            properties: self.properties.clone(),
-            templates: self.templates.clone(),
-            pages: self.pages.clone(),
-            values: self.values.clone(),
-            entity_meta: self.entity_meta.clone(),
-            columns,
+            dims: Arc::clone(&self.dims),
+            columns: self.columns.select(&mask, kept),
             day_store: OnceLock::new(),
         }
     }
 
-    /// A new cube over the same dimension tables with `changes` as the
-    /// change table (re-sorted and same-day duplicates collapsed if
-    /// needed). Ids must refer to this cube's tables.
+    /// A new cube over the same (shared) dimension tables with `changes`
+    /// as the change table, re-sorted and with same-day writes collapsed
+    /// last-wins if needed. Ids must refer to this cube's tables.
     pub fn with_changes(&self, changes: Vec<Change>) -> Result<ChangeCube, CubeError> {
-        ChangeCube::from_parts(
-            self.entities.clone(),
-            self.properties.clone(),
-            self.templates.clone(),
-            self.pages.clone(),
-            self.values.clone(),
-            self.entity_meta.clone(),
-            changes,
-        )
+        ChangeCube::from_parts(Arc::clone(&self.dims), changes)
     }
 }
 
@@ -508,12 +557,7 @@ impl ChangeCube {
 /// [`ChangeCubeBuilder::finish`].
 #[derive(Debug, Default)]
 pub struct ChangeCubeBuilder {
-    entities: Interner,
-    properties: Interner,
-    templates: Interner,
-    pages: Interner,
-    values: Interner,
-    entity_meta: Vec<EntityMeta>,
+    dims: Dimensions,
     changes: Vec<Change>,
 }
 
@@ -535,24 +579,24 @@ impl ChangeCubeBuilder {
     /// Panics if `name` was previously registered with a different template
     /// or page: each infobox belongs to exactly one of each.
     pub fn entity(&mut self, name: &str, template: &str, page: &str) -> EntityId {
-        let template = TemplateId(self.templates.intern(template));
-        let page = PageId(self.pages.intern(page));
-        let id = self.entities.intern(name);
+        let template = TemplateId(self.dims.templates.intern(template));
+        let page = PageId(self.dims.pages.intern(page));
+        let id = self.dims.entities.intern(name);
         let meta = EntityMeta { template, page };
-        if let Some(existing) = self.entity_meta.get(id as usize) {
+        if let Some(existing) = self.dims.entity_meta.get(id as usize) {
             assert_eq!(
                 *existing, meta,
                 "entity {name:?} re-registered with different template or page"
             );
         } else {
-            self.entity_meta.push(meta);
+            self.dims.entity_meta.push(meta);
         }
         EntityId(id)
     }
 
     /// Register (or look up) a property name.
     pub fn property(&mut self, name: &str) -> PropertyId {
-        PropertyId(self.properties.intern(name))
+        PropertyId(self.dims.properties.intern(name))
     }
 
     /// Record an update change. Convenience wrapper around
@@ -583,14 +627,14 @@ impl ChangeCubeBuilder {
         flags: ChangeFlags,
     ) -> &mut Self {
         assert!(
-            entity.index() < self.entity_meta.len(),
+            entity.index() < self.dims.entity_meta.len(),
             "change references unregistered entity {entity}"
         );
         assert!(
-            property.index() < self.properties.len(),
+            property.index() < self.dims.properties.len(),
             "change references unregistered property {property}"
         );
-        let value = ValueId(self.values.intern(value));
+        let value = ValueId(self.dims.values.intern(value));
         self.changes.push(Change {
             day,
             entity,
@@ -611,26 +655,18 @@ impl ChangeCubeBuilder {
     /// has, if any — lets callers check consistency without triggering the
     /// panic in [`ChangeCubeBuilder::entity`].
     pub fn entity_membership(&self, name: &str) -> Option<(&str, &str)> {
-        let id = self.entities.get(name)?;
-        let meta = self.entity_meta[id as usize];
+        let id = self.dims.entities.get(name)?;
+        let meta = self.dims.entity_meta[id as usize];
         Some((
-            self.templates.resolve(meta.template.0),
-            self.pages.resolve(meta.page.0),
+            self.dims.templates.resolve(meta.template.0),
+            self.dims.pages.resolve(meta.page.0),
         ))
     }
 
     /// Finalize into an immutable, canonically-ordered cube.
     pub fn finish(self) -> ChangeCube {
-        ChangeCube::from_parts(
-            self.entities,
-            self.properties,
-            self.templates,
-            self.pages,
-            self.values,
-            self.entity_meta,
-            self.changes,
-        )
-        .unwrap_or_else(|e| panic!("builder maintains referential integrity: {e}"))
+        ChangeCube::from_parts(Arc::new(self.dims), self.changes)
+            .unwrap_or_else(|e| panic!("builder maintains referential integrity: {e}"))
     }
 }
 
@@ -819,6 +855,47 @@ mod tests {
         assert_eq!(only_pop.num_changes(), 2);
         assert_eq!(only_pop.num_entities(), cube.num_entities());
         assert_eq!(only_pop.num_properties(), cube.num_properties());
+    }
+
+    #[test]
+    fn derived_cubes_share_dimensions() {
+        let cube = small_cube();
+        let dims = cube.dimensions();
+        assert!(Arc::ptr_eq(cube.clone().dimensions(), dims));
+        let retained = cube.retain_changes(|c| c.day > day(5));
+        assert!(Arc::ptr_eq(retained.dimensions(), dims));
+        let rebuilt = cube.with_changes(cube.changes_vec()).unwrap();
+        assert!(Arc::ptr_eq(rebuilt.dimensions(), dims));
+        // `slice` re-interns into fresh tables.
+        let sliced = crate::slice(&cube, DateRange::new(day(0), day(100)));
+        assert!(!Arc::ptr_eq(sliced.dimensions(), dims));
+    }
+
+    #[test]
+    fn retain_rows_keeps_marked_rows_at_exact_length() {
+        // More than one 64-row mask word, with a partial last word.
+        let mut b = ChangeCubeBuilder::new();
+        let e = b.entity("Ali", "infobox boxer", "Muhammad Ali");
+        let p = b.property("wins");
+        for d in 0..150 {
+            b.change(day(d), e, p, &d.to_string(), ChangeKind::Update);
+        }
+        let cube = b.finish();
+        let mut visited = Vec::new();
+        let kept = cube.retain_rows(|i| {
+            visited.push(i);
+            i % 3 == 0 || i >= 140
+        });
+        assert_eq!(visited, (0..150).collect::<Vec<_>>());
+        let want: Vec<Change> = cube
+            .iter_changes()
+            .enumerate()
+            .filter(|&(i, _)| i % 3 == 0 || i >= 140)
+            .map(|(_, c)| c)
+            .collect();
+        assert_eq!(kept.changes_vec(), want);
+        assert_eq!(kept.change_table_bytes(), want.len() * 18);
+        assert_eq!(cube.retain_rows(|_| false).num_changes(), 0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Day-resolution civil (proleptic Gregorian) date arithmetic.
 //!
-//! The change cube only ever needs day resolution: the stale-data filters
-//! collapse all edits of a field on one day into a single representative
-//! change, and every window granularity evaluated in the paper (1, 7, 30 and
+//! The change cube only ever needs day resolution: the cube keeps one
+//! change per field and day (the day's last write), and every window granularity evaluated in the paper (1, 7, 30 and
 //! 365 days) is a whole number of days. A [`Date`] is therefore a single
 //! `i32` counting days since the Unix epoch (1970-01-01), which keeps the
 //! hot structures compact and comparison/window math branch-free.

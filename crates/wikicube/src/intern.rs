@@ -10,7 +10,7 @@ use crate::fxhash::FxHashMap;
 ///
 /// Ids are assigned in first-seen order starting at 0, so they double as
 /// indices into any side table sized with [`Interner::len`].
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Interner {
     strings: Vec<Box<str>>,
     ids: FxHashMap<Box<str>, u32>,

@@ -73,7 +73,7 @@ pub mod ops;
 pub mod stats;
 
 pub use change::{Change, ChangeFlags, ChangeKind};
-pub use cube::{ChangeColumns, ChangeCube, ChangeCubeBuilder, Changes, EntityMeta};
+pub use cube::{ChangeColumns, ChangeCube, ChangeCubeBuilder, Changes, Dimensions, EntityMeta};
 pub use date::{Date, DateRange, Weekday};
 pub use daylist::{DayCursor, DayList, DayListStore};
 pub use error::CubeError;

@@ -45,6 +45,13 @@ run cargo test -q --offline -p wikistale-cli --test differential -- \
 run cargo test -q --offline -p wikistale-wikicube daylist
 run cargo test -q --offline -p wikistale-core mean_baseline
 
+# Filter gates: the two-pass filter against its staged reference (random
+# cubes under all 16 stage configurations, synth tiny and small), the
+# canonical-form invariant that makes the same-day stage remove nothing,
+# and the cross-crate filter properties (idempotence, monotonicity).
+run cargo test -q --offline -p wikistale-core filters
+run cargo test -q --offline -p wikistale-bench --test props filter
+
 # Ingest gates: the page scanner's unit suite (linear time on a long
 # page, pages straddling reads, UTF-8 and `<page/>` handling) and the
 # XML round trip of a synthetic corpus through export, scan, and diff.

@@ -106,6 +106,22 @@ proptest! {
         prop_assert_eq!(once.changes_vec(), twice.changes_vec());
         prop_assert!(report.stages.iter().all(|s| s.removed == 0));
     }
+
+    /// Filtering only removes: the output rows are a subsequence of the
+    /// input rows, and every stage keeps at most what it was given.
+    #[test]
+    fn prop_filter_monotone(config in arb_config()) {
+        let corpus = generate(&config);
+        let (filtered, report) = FilterPipeline::paper().apply(&corpus.cube);
+        let mut input = corpus.cube.iter_changes();
+        prop_assert!(filtered.iter_changes().all(|row| input.any(|c| c == row)));
+        let mut before = report.original;
+        for stage in &report.stages {
+            prop_assert_eq!(stage.removed + stage.remaining, before);
+            before = stage.remaining;
+        }
+        prop_assert_eq!(before, filtered.num_changes());
+    }
 }
 
 proptest! {
