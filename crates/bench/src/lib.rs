@@ -50,6 +50,9 @@ impl Scale {
 pub struct Prepared {
     /// The raw (unfiltered) corpus statistics.
     pub raw_stats: CorpusStats,
+    /// Same-day writes collapsed while the raw cube was built (see
+    /// `SynthCorpus::same_day_collapsed`).
+    pub same_day_collapsed: usize,
     /// The filtered cube the predictors run on.
     pub filtered: ChangeCube,
     /// Per-stage filter accounting.
@@ -73,6 +76,7 @@ pub fn prepare(config: &SynthConfig) -> Prepared {
     .expect("corpus spans more than two years");
     Prepared {
         raw_stats,
+        same_day_collapsed: corpus.same_day_collapsed,
         filtered,
         filter_report,
         split,

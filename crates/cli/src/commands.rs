@@ -237,6 +237,12 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
         corpus.cube.num_entities(),
         corpus.cube.num_templates()
     );
+    let written = corpus.cube.num_changes() + corpus.same_day_collapsed;
+    println!(
+        "same-day churn: {} of {written} writes ({:.2} %) collapsed to the day's last write  [paper: 19.185 %]",
+        corpus.same_day_collapsed,
+        100.0 * corpus.same_day_collapsed as f64 / written.max(1) as f64
+    );
     println!(
         "ground truth: {} forgotten updates (true staleness)",
         corpus.ground_truth.len()
@@ -365,11 +371,6 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
         "bot-reverted   {} ({:.4} %)  [paper: 0.008 %]",
         stats.bot_reverted,
         100.0 * stats.bot_reverted_fraction()
-    );
-    println!(
-        "same-day dups  {} ({:.2} %)  [paper: 19.185 %]",
-        stats.same_day_duplicates,
-        100.0 * stats.same_day_duplicate_fraction()
     );
     println!("fields         {}", stats.distinct_fields);
     println!(

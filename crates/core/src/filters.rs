@@ -5,29 +5,27 @@
 //! 1. changes directly reverted by Wikipedia bots (0.008 % of the raw
 //!    corpus),
 //! 2. same-day churn: all changes of one field on one day collapse into a
-//!    single change (19.185 % of the raw corpus). Here that collapse
-//!    happens when the cube is built: a [`ChangeCube`] keeps one change
-//!    per `(day, entity, property)`, the day's last write, so this stage
-//!    always reports 0 removed,
+//!    single change (19.185 % of the raw corpus),
 //! 3. creations and deletions, which the predictors do not model
 //!    (61.373 %),
 //! 4. changes of fields with fewer than five remaining changes
 //!    (10.241 %),
 //!
-//! leaving 9.2 % of the raw changes. [`FilterPipeline::apply`] reproduces
-//! the pipeline and reports per-stage removal counts so the `dataset_stats`
-//! experiment can print them next to the paper's numbers.
+//! leaving 9.2 % of the raw changes. The same-day collapse is not a stage
+//! here: it happens when the cube is built, since a [`ChangeCube`] keeps
+//! one change per `(day, entity, property)`, the day's last write. The
+//! generator counts what it collapses (`SynthCorpus::same_day_collapsed`).
+//! [`FilterPipeline::apply`] runs the other three stages and reports
+//! per-stage removal counts so the `dataset_stats` experiment can print
+//! them next to the paper's numbers.
 
 use wikistale_wikicube::{ChangeColumns, ChangeCube, ChangeKind, FieldId, FxHashMap};
 
-/// Which filter stages to run. [`FilterPipeline::paper`] enables all four.
+/// Which filter stages to run. [`FilterPipeline::paper`] enables all three.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterPipeline {
     /// Drop changes flagged as bot-reverted.
     pub drop_bot_reverted: bool,
-    /// Report the same-day stage. Cubes hold one change per field and
-    /// day already, so the stage removes nothing.
-    pub dedup_days: bool,
     /// Drop creations and deletions.
     pub drop_creations_deletions: bool,
     /// Drop fields with fewer than this many changes (`None` disables; the
@@ -40,7 +38,6 @@ impl FilterPipeline {
     pub fn paper() -> FilterPipeline {
         FilterPipeline {
             drop_bot_reverted: true,
-            dedup_days: true,
             drop_creations_deletions: true,
             min_changes: Some(5),
         }
@@ -140,13 +137,10 @@ impl FilterPipeline {
     fn report(&self, original: usize, tally: &Tally) -> FilterReport {
         let mut report = FilterReport {
             original,
-            stages: Vec::with_capacity(4),
+            stages: Vec::with_capacity(3),
         };
         if self.drop_bot_reverted {
             report.push_stage("bot-reverted", tally.bot_reverted);
-        }
-        if self.dedup_days {
-            report.push_stage("same-day duplicates", 0);
         }
         if self.drop_creations_deletions {
             report.push_stage("creations & deletions", tally.creations_deletions);
@@ -288,10 +282,6 @@ mod tests {
             current = current.retain_changes(|c| !c.flags.is_bot_reverted());
             record(&mut report, "bot-reverted", &current);
         }
-        if p.dedup_days {
-            current = current.with_changes(current.changes_vec()).unwrap();
-            record(&mut report, "same-day duplicates", &current);
-        }
         if p.drop_creations_deletions {
             current = current.retain_changes(|c| c.kind == ChangeKind::Update);
             record(&mut report, "creations & deletions", &current);
@@ -307,14 +297,13 @@ mod tests {
         (current, report)
     }
 
-    /// All 16 configurations: three stage switches × `min_changes` ∈
+    /// All 8 configurations: two stage switches × `min_changes` ∈
     /// {None, Some(5)}.
     fn all_pipelines() -> impl Iterator<Item = FilterPipeline> {
-        (0..16u32).map(|bits| FilterPipeline {
+        (0..8u32).map(|bits| FilterPipeline {
             drop_bot_reverted: bits & 1 != 0,
-            dedup_days: bits & 2 != 0,
-            drop_creations_deletions: bits & 4 != 0,
-            min_changes: (bits & 8 != 0).then_some(5),
+            drop_creations_deletions: bits & 2 != 0,
+            min_changes: (bits & 4 != 0).then_some(5),
         })
     }
 
@@ -404,7 +393,7 @@ mod tests {
 
     /// Every way the workspace builds a cube leaves it canonical: sorted
     /// by `(day, entity, property)` with no two adjacent rows sharing that
-    /// key. This is why the same-day stage removes nothing.
+    /// key. This is why the pipeline has no same-day stage.
     #[test]
     fn filters_see_only_canonical_cubes() {
         fn assert_canonical(cube: &ChangeCube, built_by: &str) {
@@ -487,7 +476,6 @@ mod tests {
         );
         let pipeline = FilterPipeline {
             drop_bot_reverted: true,
-            dedup_days: false,
             drop_creations_deletions: false,
             min_changes: None,
         };
@@ -509,7 +497,6 @@ mod tests {
         b.change(day(1), e, p, "real", ChangeKind::Update);
         let pipeline = FilterPipeline {
             drop_bot_reverted: false,
-            dedup_days: true,
             drop_creations_deletions: false,
             min_changes: None,
         };
@@ -528,7 +515,6 @@ mod tests {
         b.change(day(1), e, p, "second", ChangeKind::Update);
         let (cube, _) = FilterPipeline {
             drop_bot_reverted: false,
-            dedup_days: true,
             drop_creations_deletions: false,
             min_changes: None,
         }
@@ -548,13 +534,12 @@ mod tests {
         b.change(day(2), e, p, "c", ChangeKind::Update); // other day
         let (cube, report) = FilterPipeline {
             drop_bot_reverted: false,
-            dedup_days: true,
             drop_creations_deletions: false,
             min_changes: None,
         }
         .apply(&b.finish());
         assert_eq!(cube.num_changes(), 3);
-        assert_eq!(report.stages[0].removed, 0);
+        assert!(report.stages.is_empty());
     }
 
     #[test]
@@ -567,7 +552,6 @@ mod tests {
         b.change(day(2), e, p, "", ChangeKind::Delete);
         let (cube, report) = FilterPipeline {
             drop_bot_reverted: false,
-            dedup_days: false,
             drop_creations_deletions: true,
             min_changes: None,
         }
@@ -591,7 +575,6 @@ mod tests {
         }
         let (cube, report) = FilterPipeline {
             drop_bot_reverted: false,
-            dedup_days: false,
             drop_creations_deletions: false,
             min_changes: Some(5),
         }
@@ -624,13 +607,13 @@ mod tests {
             ChangeFlags::BOT_REVERTED,
         );
         let (cube, report) = FilterPipeline::paper().apply(&b.finish());
-        assert_eq!(report.stages.len(), 4);
+        assert_eq!(report.stages.len(), 3);
         assert_eq!(report.original, 8);
         // bot (1) and create (1) removed; 6 updates ≥ 5 survive.
         assert_eq!(cube.num_changes(), 6);
         let total_removed: usize = report.stages.iter().map(|s| s.removed).sum();
         assert_eq!(total_removed + cube.num_changes(), report.original);
-        let frac_sum: f64 = (0..4)
+        let frac_sum: f64 = (0..3)
             .map(|i| report.removed_fraction_of_original(i))
             .sum::<f64>()
             + report.surviving_fraction();
@@ -651,14 +634,14 @@ mod tests {
         }
         let pipeline = FilterPipeline {
             drop_bot_reverted: false,
-            dedup_days: true,
             drop_creations_deletions: false,
             min_changes: None,
         };
         let (once, _) = pipeline.apply(&b.finish());
         let (twice, report) = pipeline.apply(&once);
         assert_eq!(once.changes_vec(), twice.changes_vec());
-        assert_eq!(report.stages[0].removed, 0);
+        assert_eq!(report.original, once.num_changes());
+        assert!(report.stages.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Deterministic parallel execution layer for the wikistale pipeline.
 //!
-//! Every hot pipeline stage (cube building, field-correlation pairing,
+//! Every hot pipeline stage (day-list building, field-correlation pairing,
 //! Apriori support counting, the evaluation sweep) runs through this crate
 //! so that one determinism contract covers them all:
 //!

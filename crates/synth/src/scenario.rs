@@ -139,8 +139,11 @@ impl Scenario {
     /// parameters of their own.
     pub fn finish(mut self) -> SynthCorpus {
         self.truth.seal();
+        let written = self.builder.num_changes();
+        let cube = self.builder.finish();
         SynthCorpus {
-            cube: self.builder.finish(),
+            same_day_collapsed: written - cube.num_changes(),
+            cube,
             ground_truth: self.truth,
             config: crate::SynthConfig::tiny(),
         }

@@ -27,12 +27,16 @@
 //! Older versions (1: unframed, no checksums; 2: row-wise changes) are
 //! rejected as [`CubeError::UnsupportedVersion`].
 //!
-//! Reading validates magic, version, checksums, string UTF-8, id
-//! referential integrity and (via the cube constructor) restores
-//! canonical ordering, so a cube read back is byte-for-byte
-//! re-serializable. Length prefixes are never trusted for allocation:
-//! capacity is clamped to what the remaining bytes could actually hold,
-//! so a corrupt count cannot trigger a multi-gigabyte allocation.
+//! Reading validates magic, version, checksums, string UTF-8 and change
+//! kinds, and decodes the six change arrays straight into the cube's
+//! columns, each allocated once at its exact length. The cube
+//! constructor then checks id referential integrity and restores
+//! canonical ordering; the columns of a file [`encode`] wrote are
+//! already canonical and are moved in without a copy. A cube read back
+//! is byte-for-byte re-serializable. Length prefixes are never trusted
+//! for allocation: capacity is clamped to what the remaining bytes could
+//! actually hold, so a corrupt count cannot trigger a multi-gigabyte
+//! allocation.
 //! Truncation surfaces as [`CubeError::Truncated`] naming the section;
 //! checksum failures as [`CubeError::ChecksumMismatch`].
 //!
@@ -41,9 +45,9 @@
 //! the parent directory is fsync'd — a crash mid-write leaves either the
 //! old file or the new one, never a half-written hybrid.
 
-use crate::change::{Change, ChangeFlags, ChangeKind};
+use crate::change::{ChangeFlags, ChangeKind};
 use crate::crc32::{crc32, Crc32};
-use crate::cube::{ChangeCube, Dimensions, EntityMeta};
+use crate::cube::{ChangeColumns, ChangeCube, Dimensions, EntityMeta};
 use crate::date::Date;
 use crate::error::CubeError;
 use crate::ids::{EntityId, PageId, PropertyId, TemplateId, ValueId};
@@ -112,11 +116,15 @@ fn section_payloads(cube: &ChangeCube) -> Vec<Vec<u8>> {
         meta.extend_from_slice(&m.page.0.to_le_bytes());
     }
     payloads.push(meta);
-    let mut changes = Vec::with_capacity(8 + cube.num_changes() * 18);
-    changes.extend_from_slice(&(cube.num_changes() as u64).to_le_bytes());
-    // Columnar: six contiguous arrays straight from the cube's
-    // struct-of-arrays change table.
-    let cols = cube.columns();
+    payloads.push(changes_payload(cube.columns()));
+    payloads
+}
+
+/// The `changes` payload: the row count, then the six column arrays
+/// straight from the struct-of-arrays change table.
+fn changes_payload(cols: &ChangeColumns) -> Vec<u8> {
+    let mut changes = Vec::with_capacity(8 + cols.len() * 18);
+    changes.extend_from_slice(&(cols.len() as u64).to_le_bytes());
     for &d in cols.days() {
         changes.extend_from_slice(&d.day_number().to_le_bytes());
     }
@@ -135,8 +143,7 @@ fn section_payloads(cube: &ChangeCube) -> Vec<Vec<u8>> {
     for &f in cols.flags() {
         changes.push(f.bits());
     }
-    payloads.push(changes);
-    payloads
+    changes
 }
 
 /// Deserialize a cube from bytes produced by [`encode`].
@@ -269,8 +276,10 @@ fn parse_entity_meta_section(mut payload: &[u8]) -> Result<Vec<EntityMeta>, Cube
 
 /// Parse the columnar changes payload: `u64 count`, then six column
 /// arrays (day i32, entity u32, property u32, value u32, kind u8,
-/// flags u8), each `count` elements long.
-fn parse_changes_section(mut payload: &[u8]) -> Result<Vec<Change>, CubeError> {
+/// flags u8), each `count` elements long. Each array is decoded straight
+/// into its [`ChangeColumns`] column, allocated once at its exact
+/// length; no row table is built.
+fn parse_changes_section(mut payload: &[u8]) -> Result<ChangeColumns, CubeError> {
     const SECTION: &str = "changes";
     let buf = &mut payload;
     let n_changes = take_u64_in(buf, SECTION)?;
@@ -290,45 +299,30 @@ fn parse_changes_section(mut payload: &[u8]) -> Result<Vec<Change>, CubeError> {
     let kinds = take_bytes_in(buf, n, SECTION)?;
     let flags = take_bytes_in(buf, n, SECTION)?;
     expect_consumed(buf, SECTION)?;
-    let mut changes = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = i * 4;
-        let day = Date::from_day_number(i32::from_le_bytes([
-            days[at],
-            days[at + 1],
-            days[at + 2],
-            days[at + 3],
-        ]));
-        let entity = EntityId(u32::from_le_bytes([
-            entities[at],
-            entities[at + 1],
-            entities[at + 2],
-            entities[at + 3],
-        ]));
-        let property = PropertyId(u32::from_le_bytes([
-            properties[at],
-            properties[at + 1],
-            properties[at + 2],
-            properties[at + 3],
-        ]));
-        let value = ValueId(u32::from_le_bytes([
-            values[at],
-            values[at + 1],
-            values[at + 2],
-            values[at + 3],
-        ]));
-        let kind = ChangeKind::from_u8(kinds[i])
-            .ok_or_else(|| CubeError::Corrupt(format!("unknown change kind {}", kinds[i])))?;
-        changes.push(Change {
-            day,
-            entity,
-            property,
-            value,
-            kind,
-            flags: ChangeFlags::from_bits(flags[i]),
-        });
+    let mut kind_column = Vec::with_capacity(n);
+    for &k in kinds {
+        kind_column.push(
+            ChangeKind::from_u8(k)
+                .ok_or_else(|| CubeError::Corrupt(format!("unknown change kind {k}")))?,
+        );
     }
-    Ok(changes)
+    Ok(ChangeColumns {
+        days: le_u32s(days)
+            .map(|d| Date::from_day_number(d as i32))
+            .collect(),
+        entities: le_u32s(entities).map(EntityId).collect(),
+        properties: le_u32s(properties).map(PropertyId).collect(),
+        values: le_u32s(values).map(ValueId).collect(),
+        kinds: kind_column,
+        flags: flags.iter().map(|&f| ChangeFlags::from_bits(f)).collect(),
+    })
+}
+
+/// The little-endian `u32`s of a column array.
+fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 fn expect_consumed(payload: &[u8], name: &'static str) -> Result<(), CubeError> {
@@ -473,6 +467,7 @@ fn take_u64_in(buf: &mut &[u8], section: &'static str) -> Result<u64, CubeError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::change::Change;
     use crate::cube::ChangeCubeBuilder;
     use proptest::prelude::*;
 
@@ -601,6 +596,68 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A framed file with `sample_cube`'s dimension tables and `rows`,
+    /// in the given order, as its changes section.
+    fn file_with_changes(rows: &[Change]) -> Vec<u8> {
+        let mut cols = ChangeColumns::default();
+        for &c in rows {
+            cols.push(c);
+        }
+        let mut payloads = section_payloads(&sample_cube());
+        payloads[6] = changes_payload(&cols);
+        encode_framed(&payloads)
+    }
+
+    #[test]
+    fn decode_canonicalizes_unsorted_changes_with_duplicate_keys() {
+        let cube = sample_cube();
+        let rows = cube.changes_vec();
+        // Out of order, with an earlier write to the first row's slot
+        // that the later one must replace.
+        let mut earlier = rows[0];
+        earlier.value = rows[1].value;
+        earlier.kind = ChangeKind::Create;
+        let back = decode(&file_with_changes(&[rows[1], earlier, rows[0]])).unwrap();
+        assert_eq!(back.changes_vec(), rows);
+        assert_eq!(back.change_table_bytes(), rows.len() * 18);
+        assert_eq!(encode(&back), encode(&cube));
+    }
+
+    #[test]
+    fn decode_rejects_bad_kinds_and_dangling_ids() {
+        let rows = sample_cube().changes_vec();
+        let mut payloads = section_payloads(&sample_cube());
+        // The first kind byte follows the count and four 4-byte columns.
+        payloads[6][8 + 16 * rows.len()] = 3;
+        assert!(matches!(
+            decode(&encode_framed(&payloads)),
+            Err(CubeError::Corrupt(msg)) if msg == "unknown change kind 3"
+        ));
+        let dangling = [
+            Change {
+                entity: EntityId(1),
+                ..rows[1]
+            },
+            Change {
+                property: PropertyId(2),
+                ..rows[1]
+            },
+            Change {
+                value: ValueId(2),
+                ..rows[1]
+            },
+        ];
+        for (bad, want) in dangling
+            .into_iter()
+            .zip(["entity e1", "property p2", "value v2"])
+        {
+            match decode(&file_with_changes(&[rows[0], bad])) {
+                Err(CubeError::DanglingId(msg)) => assert_eq!(msg, format!("change {want}")),
+                other => panic!("expected DanglingId, got {other:?}"),
+            }
+        }
     }
 
     #[test]

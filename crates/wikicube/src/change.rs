@@ -90,8 +90,9 @@ impl fmt::Debug for ChangeFlags {
 /// One change-cube tuple: on `day`, `entity`'s `property` was assigned
 /// `value` by an edit of kind `kind`.
 ///
-/// The struct is 20 bytes and `Copy`; the cube stores changes in a flat
-/// `Vec<Change>` sorted by `(day, entity, property)`.
+/// The struct is 20 bytes and `Copy`. The cube stores no rows: it keeps
+/// one column per field ([`crate::ChangeColumns`]), sorted by `(day,
+/// entity, property)`, and materializes a `Change` on demand.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct Change {
     /// Day of the edit (the cube's time resolution is one day).

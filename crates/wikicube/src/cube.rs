@@ -28,35 +28,40 @@ pub struct EntityMeta {
 /// of padding per change the row layout paid for alignment.
 #[derive(Debug, Clone, Default)]
 pub struct ChangeColumns {
-    days: Vec<Date>,
-    entities: Vec<EntityId>,
-    properties: Vec<PropertyId>,
-    values: Vec<ValueId>,
-    kinds: Vec<ChangeKind>,
-    flags: Vec<ChangeFlags>,
+    pub(crate) days: Vec<Date>,
+    pub(crate) entities: Vec<EntityId>,
+    pub(crate) properties: Vec<PropertyId>,
+    pub(crate) values: Vec<ValueId>,
+    pub(crate) kinds: Vec<ChangeKind>,
+    pub(crate) flags: Vec<ChangeFlags>,
 }
 
 impl ChangeColumns {
-    /// Split a row table into columns. The rows must already be in
-    /// canonical order.
-    fn from_rows(rows: &[Change]) -> ChangeColumns {
-        let mut cols = ChangeColumns {
-            days: Vec::with_capacity(rows.len()),
-            entities: Vec::with_capacity(rows.len()),
-            properties: Vec::with_capacity(rows.len()),
-            values: Vec::with_capacity(rows.len()),
-            kinds: Vec::with_capacity(rows.len()),
-            flags: Vec::with_capacity(rows.len()),
-        };
-        for c in rows {
-            cols.days.push(c.day);
-            cols.entities.push(c.entity);
-            cols.properties.push(c.property);
-            cols.values.push(c.value);
-            cols.kinds.push(c.kind);
-            cols.flags.push(c.flags);
-        }
-        cols
+    /// Append `c` as the last row.
+    pub(crate) fn push(&mut self, c: Change) {
+        self.days.push(c.day);
+        self.entities.push(c.entity);
+        self.properties.push(c.property);
+        self.values.push(c.value);
+        self.kinds.push(c.kind);
+        self.flags.push(c.flags);
+    }
+
+    /// Reserve room for `n` more rows in every column.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.days.reserve(n);
+        self.entities.reserve(n);
+        self.properties.reserve(n);
+        self.values.reserve(n);
+        self.kinds.reserve(n);
+        self.flags.reserve(n);
+    }
+
+    /// Whether the rows are strictly increasing by `(day, entity,
+    /// property)`: sorted, with no two rows sharing that key.
+    fn is_canonical(&self) -> bool {
+        let key = |i: usize| (self.days[i], self.entities[i], self.properties[i]);
+        (1..self.len()).all(|i| key(i - 1) < key(i))
     }
 
     /// The rows whose bit is set in `mask` (bit `i % 64` of word `i / 64`
@@ -265,45 +270,42 @@ pub struct ChangeCube {
 }
 
 impl ChangeCube {
-    /// Assemble a cube from already-built parts. Used by the builder, by
-    /// the persistence layer and by [`ChangeCube::with_changes`];
-    /// validates that every change's ids resolve in `dims` and restores
-    /// the canonical form (sorted, one change per `(day, entity,
-    /// property)` with the last value winning).
+    /// The one constructor every cube is built through: the builder,
+    /// [`crate::binio::decode`] and [`ChangeCube::with_changes`] all hand
+    /// it their columns. Checks that every entity, property and value id
+    /// resolves in `dims`, one column at a time, then restores the
+    /// canonical form: rows sorted by `(day, entity, property)`, one row
+    /// per key, the last-written row of a key winning.
+    ///
+    /// Columns already strictly increasing by that key (every file
+    /// [`crate::binio::encode`] writes) are moved in without a copy.
+    /// Otherwise each row gets a packed key `(day − min_day) << 96 |
+    /// entity << 64 | property << 32 | row`. The row index makes every
+    /// key unique, so an unstable sort orders rows as a stable sort
+    /// would, and the last key of each run sharing `(day, entity,
+    /// property)` is that slot's latest write. Each column is then
+    /// gathered once, at its exact length.
     pub(crate) fn from_parts(
         dims: Arc<Dimensions>,
-        mut changes: Vec<Change>,
+        mut columns: ChangeColumns,
     ) -> Result<ChangeCube, CubeError> {
-        for c in &changes {
-            if c.entity.index() >= dims.entities.len() {
-                return Err(CubeError::DanglingId(format!("change entity {}", c.entity)));
-            }
-            if c.property.index() >= dims.properties.len() {
-                return Err(CubeError::DanglingId(format!(
-                    "change property {}",
-                    c.property
-                )));
-            }
-            if c.value.index() >= dims.values.len() {
-                return Err(CubeError::DanglingId(format!("change value {}", c.value)));
-            }
+        check_ids(&columns.entities, dims.entities.len(), "entity")?;
+        check_ids(&columns.properties, dims.properties.len(), "property")?;
+        check_ids(&columns.values, dims.values.len(), "value")?;
+        if columns.is_canonical() {
+            // A no-op for exact-length columns such as decoded ones.
+            columns.days.shrink_to_fit();
+            columns.entities.shrink_to_fit();
+            columns.properties.shrink_to_fit();
+            columns.values.shrink_to_fit();
+            columns.kinds.shrink_to_fit();
+            columns.flags.shrink_to_fit();
+        } else {
+            columns = canonicalize(columns)?;
         }
-        if !changes.is_sorted_by_key(|c| c.sort_key()) {
-            // Stable, so same-key changes keep their input order and the
-            // last-wins dedup below resolves to the latest write.
-            changes = stable_sort_changes(changes);
-        }
-        changes.dedup_by(|cur, prev| {
-            if cur.sort_key() == prev.sort_key() {
-                *prev = *cur;
-                true
-            } else {
-                false
-            }
-        });
         Ok(ChangeCube {
             dims,
-            columns: ChangeColumns::from_rows(&changes),
+            columns,
             day_store: OnceLock::new(),
         })
     }
@@ -501,13 +503,6 @@ impl ChangeCube {
         self.columns.heap_bytes()
     }
 
-    /// Heap bytes the change table would occupy in the row layout this
-    /// cube replaced (`Vec<Change>`, 20 bytes per change) — the baseline
-    /// the pipeline benchmark compares against.
-    pub fn row_layout_baseline_bytes(&self) -> usize {
-        self.num_changes() * std::mem::size_of::<Change>()
-    }
-
     /// A new cube keeping only the changes for which `keep` returns
     /// `true`, in order. The dimension tables are shared, not copied, so
     /// ids remain stable across filtering. See
@@ -546,19 +541,27 @@ impl ChangeCube {
     /// as the change table, re-sorted and with same-day writes collapsed
     /// last-wins if needed. Ids must refer to this cube's tables.
     pub fn with_changes(&self, changes: Vec<Change>) -> Result<ChangeCube, CubeError> {
-        ChangeCube::from_parts(Arc::clone(&self.dims), changes)
+        let mut columns = ChangeColumns::default();
+        columns.reserve(changes.len());
+        for c in changes {
+            columns.push(c);
+        }
+        ChangeCube::from_parts(Arc::clone(&self.dims), columns)
     }
 }
 
 /// Incremental constructor for [`ChangeCube`]s.
 ///
 /// The builder interns strings on the fly, enforces the one-template /
-/// one-page invariant per entity, and sorts the change table once on
-/// [`ChangeCubeBuilder::finish`].
+/// one-page invariant per entity, and appends each change to the six
+/// columns of a [`ChangeColumns`] in call order.
+/// [`ChangeCubeBuilder::finish`] hands them to the cube constructor,
+/// which sorts them and collapses same-day writes to one slot (the last
+/// call wins) once.
 #[derive(Debug, Default)]
 pub struct ChangeCubeBuilder {
     dims: Dimensions,
-    changes: Vec<Change>,
+    changes: ChangeColumns,
 }
 
 impl ChangeCubeBuilder {
@@ -670,50 +673,66 @@ impl ChangeCubeBuilder {
     }
 }
 
-/// Changes per sort chunk. Large enough that chunk sort dominates the
-/// serial k-way merge; small enough for the workers to balance skewed data.
-const SORT_CHUNK: usize = 32_768;
-
-/// Stable sort by [`Change::sort_key`]: fixed contiguous chunks are sorted
-/// in parallel, then k-way merged with ties broken by chunk index.
-///
-/// Because chunks are contiguous input ranges taken in order, "smaller
-/// chunk index" equals "earlier original position" for equal keys, so the
-/// merge reproduces a global stable sort exactly — for any chunk size and
-/// any worker count. That is what keeps the last-wins dedup in
-/// [`ChangeCube::from_parts`] independent of `--threads`.
-fn stable_sort_changes(mut changes: Vec<Change>) -> Vec<Change> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    if wikistale_exec::threads() <= 1 || changes.len() <= wikistale_exec::chunk_size(SORT_CHUNK) {
-        changes.sort_by_key(|c| c.sort_key());
-        return changes;
+/// The first id in `ids` that does not resolve in a table of `bound`
+/// entries, as a [`CubeError::DanglingId`] naming the change `column`.
+fn check_ids<I: Copy + Into<usize> + std::fmt::Display>(
+    ids: &[I],
+    bound: usize,
+    column: &str,
+) -> Result<(), CubeError> {
+    match ids.iter().find(|&&id| id.into() >= bound) {
+        Some(id) => Err(CubeError::DanglingId(format!("change {column} {id}"))),
+        None => Ok(()),
     }
-    let sorted_chunks: Vec<Vec<Change>> =
-        wikistale_exec::par_ranges("cube_sort", changes.len(), SORT_CHUNK, |range| {
-            let mut part = changes[range].to_vec();
-            part.sort_by_key(|c| c.sort_key());
-            part
-        });
+}
 
-    let mut heap = BinaryHeap::with_capacity(sorted_chunks.len());
-    for (idx, chunk) in sorted_chunks.iter().enumerate() {
-        if let Some(first) = chunk.first() {
-            heap.push(Reverse((first.sort_key(), idx)));
+/// Sort `cols` by `(day, entity, property)` and keep each key's last row
+/// (see [`ChangeCube::from_parts`]), gathering each column into a vector
+/// of exactly the surviving length.
+fn canonicalize(mut cols: ChangeColumns) -> Result<ChangeColumns, CubeError> {
+    let n = cols.len();
+    if u32::try_from(n).is_err() {
+        return Err(CubeError::Corrupt(format!(
+            "{n} changes exceed the {} rows one cube can order",
+            u32::MAX
+        )));
+    }
+    let min_day = cols.days.iter().min().map_or(0, |d| d.day_number());
+    let mut keys: Vec<u128> = (0..n)
+        .map(|i| {
+            // Day numbers are i32, so the offset fits in 32 bits.
+            let day = (i64::from(cols.days[i].day_number()) - i64::from(min_day)) as u128;
+            day << 96
+                | u128::from(cols.entities[i].0) << 64
+                | u128::from(cols.properties[i].0) << 32
+                | i as u128
+        })
+        .collect();
+    keys.sort_unstable();
+    // Within a run of equal `(day, entity, property)` the row indices
+    // ascend, so keeping the run's last key keeps the latest write.
+    keys.dedup_by(|later, kept| {
+        let same_slot = *later >> 32 == *kept >> 32;
+        if same_slot {
+            *kept = *later;
         }
-    }
-    let mut merged = Vec::with_capacity(changes.len());
-    let mut cursors = vec![0usize; sorted_chunks.len()];
-    while let Some(Reverse((_, idx))) = heap.pop() {
-        let chunk = &sorted_chunks[idx];
-        merged.push(chunk[cursors[idx]]);
-        cursors[idx] += 1;
-        if let Some(next) = chunk.get(cursors[idx]) {
-            heap.push(Reverse((next.sort_key(), idx)));
-        }
-    }
-    merged
+        same_slot
+    });
+    // One column at a time, so at most one old column is live beside the
+    // keys and its replacement.
+    cols.days = gather_rows(&cols.days, &keys);
+    cols.entities = gather_rows(&cols.entities, &keys);
+    cols.properties = gather_rows(&cols.properties, &keys);
+    cols.values = gather_rows(&cols.values, &keys);
+    cols.kinds = gather_rows(&cols.kinds, &keys);
+    cols.flags = gather_rows(&cols.flags, &keys);
+    Ok(cols)
+}
+
+/// The elements of `column` at the row indices in the low 32 bits of
+/// `keys`, in key order.
+fn gather_rows<T: Copy>(column: &[T], keys: &[u128]) -> Vec<T> {
+    keys.iter().map(|&k| column[k as u32 as usize]).collect()
 }
 
 #[cfg(test)]
@@ -787,7 +806,7 @@ mod tests {
     fn columnar_table_is_smaller_than_row_layout() {
         let cube = small_cube();
         // 18 bytes/change in columns vs 20 in Vec<Change>.
-        assert!(cube.change_table_bytes() < cube.row_layout_baseline_bytes());
+        assert!(cube.change_table_bytes() < cube.num_changes() * std::mem::size_of::<Change>());
     }
 
     #[test]
@@ -977,5 +996,127 @@ mod tests {
             cube.with_changes(bad),
             Err(CubeError::DanglingId(_))
         ));
+    }
+
+    /// The row path `from_parts` replaced, kept as its reference: a
+    /// stable sort by key, a last-wins `dedup_by`, then the rows split
+    /// into columns.
+    fn row_reference(mut rows: Vec<Change>) -> ChangeColumns {
+        rows.sort_by_key(|c| c.sort_key());
+        rows.dedup_by(|cur, prev| {
+            if cur.sort_key() == prev.sort_key() {
+                *prev = *cur;
+                true
+            } else {
+                false
+            }
+        });
+        columns_of(&rows)
+    }
+
+    fn columns_of(rows: &[Change]) -> ChangeColumns {
+        let mut cols = ChangeColumns::default();
+        cols.reserve(rows.len());
+        for &c in rows {
+            cols.push(c);
+        }
+        cols
+    }
+
+    /// Dimension tables with `n` entities, properties and values.
+    fn dims_of(n: usize) -> Arc<Dimensions> {
+        let table = |prefix: &str, n: usize| {
+            let mut t = Interner::new();
+            for i in 0..n {
+                t.intern(&format!("{prefix}{i}"));
+            }
+            t
+        };
+        let meta = EntityMeta {
+            template: TemplateId(0),
+            page: PageId(0),
+        };
+        let dims = Dimensions::new(
+            table("e", n),
+            table("p", n),
+            table("t", 1),
+            table("pg", 1),
+            table("v", n),
+            vec![meta; n],
+        );
+        Arc::new(dims.unwrap())
+    }
+
+    /// `from_parts` on `rows` gives the reference's rows in exact-length
+    /// columns.
+    fn assert_matches_row_reference(rows: &[Change]) {
+        let want = row_reference(rows.to_vec());
+        let cube = ChangeCube::from_parts(dims_of(8), columns_of(rows)).unwrap();
+        let want_rows: Vec<Change> = (0..want.len()).map(|i| want.get(i)).collect();
+        assert_eq!(cube.changes_vec(), want_rows);
+        assert_eq!(cube.change_table_bytes(), want.len() * 18);
+    }
+
+    fn change(day_n: i32, entity: u32, property: u32, value: u32, kind: u8) -> Change {
+        Change {
+            day: day(day_n),
+            entity: EntityId(entity),
+            property: PropertyId(property),
+            value: ValueId(value),
+            kind: ChangeKind::from_u8(kind).unwrap(),
+            flags: ChangeFlags::from_bits(value as u8),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Random unsorted columns over a small key space, so most cases
+        /// hold same-day writes to one slot.
+        #[test]
+        fn from_parts_matches_row_reference(
+            rows in proptest::collection::vec(
+                (-3i32..6, 0u32..3, 0u32..3, 0u32..8, 0u8..3),
+                0..120,
+            ),
+        ) {
+            let rows: Vec<Change> = rows
+                .into_iter()
+                .map(|(d, e, p, v, k)| change(d, e, p, v, k))
+                .collect();
+            assert_matches_row_reference(&rows);
+        }
+    }
+
+    #[test]
+    fn from_parts_matches_row_reference_on_edge_cases() {
+        assert_matches_row_reference(&[]);
+        // Every row shares one key: the last write alone survives.
+        let same: Vec<Change> = (0..7).map(|v| change(2, 1, 1, v, 1)).collect();
+        assert_matches_row_reference(&same);
+        let cube = ChangeCube::from_parts(dims_of(8), columns_of(&same)).unwrap();
+        assert_eq!(cube.changes_vec(), vec![change(2, 1, 1, 6, 1)]);
+        // The widest day span: the offset from the first day needs all 32 bits.
+        let spread = [
+            change(i32::MAX, 0, 0, 0, 0),
+            change(i32::MIN, 7, 7, 1, 1),
+            change(0, 3, 0, 2, 2),
+        ];
+        assert_matches_row_reference(&spread);
+    }
+
+    #[test]
+    fn from_parts_moves_canonical_columns_in_without_copying() {
+        let rows: Vec<Change> = (0..50)
+            .map(|i| change(i / 5, (i % 5) as u32, 1, (i % 8) as u32, 1))
+            .collect();
+        let cols = row_reference(rows.clone());
+        assert_eq!(cols.len(), rows.len(), "already canonical");
+        let days = cols.days().as_ptr();
+        let values = cols.values().as_ptr();
+        let cube = ChangeCube::from_parts(dims_of(8), cols).unwrap();
+        assert_eq!(cube.changes_vec(), rows);
+        assert_eq!(cube.columns().days().as_ptr(), days);
+        assert_eq!(cube.columns().values().as_ptr(), values);
     }
 }

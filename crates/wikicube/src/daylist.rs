@@ -174,13 +174,6 @@ impl DayListStore {
             + self.count_offsets.capacity() * 4
             + self.field_pos.capacity() * (std::mem::size_of::<FieldId>() + 4)
     }
-
-    /// Heap bytes the same lists would occupy decoded, as one
-    /// `Vec<Date>` per field (4 bytes per day plus a vector header per
-    /// field) — the layout this store replaced.
-    pub fn decoded_baseline_bytes(&self) -> usize {
-        self.total_days() * 4 + self.num_fields() * std::mem::size_of::<Vec<Date>>()
-    }
 }
 
 /// Build the per-field day-list map for `cube`, keeping only changes of
@@ -801,7 +794,11 @@ mod tests {
         let store = store_of(&lists);
         assert!(store.runs.len() * 4 <= store.total_days() * 4);
         assert!(store.heap_bytes() > 0);
-        assert!(store.runs.len() * 4 < store.decoded_baseline_bytes());
+        // Decoded, as one `Vec<Date>` per field: 4 bytes per day plus a
+        // vector header per field.
+        let decoded =
+            store.total_days() * 4 + store.num_fields() * std::mem::size_of::<Vec<Date>>();
+        assert!(store.runs.len() * 4 < decoded);
     }
 
     mod props {

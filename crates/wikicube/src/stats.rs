@@ -1,9 +1,11 @@
 //! Corpus statistics over a change cube.
 //!
 //! These are the quantities §4 of the paper reports about its dataset
-//! (change-kind mix, bot reverts, same-day duplicate rate, field change
-//! counts); the `dataset_stats` experiment binary prints them next to the
-//! paper's numbers.
+//! (change-kind mix, bot reverts, field change counts); the
+//! `dataset_stats` experiment binary prints them next to the paper's
+//! numbers. Same-day churn is not among them: a cube keeps one change per
+//! `(day, entity, property)`, so the churn is counted where it is
+//! collapsed (`SynthCorpus::same_day_collapsed` in the generator).
 
 use crate::change::ChangeKind;
 use crate::cube::ChangeCube;
@@ -20,11 +22,6 @@ pub struct CorpusStats {
     pub by_kind: [usize; 3],
     /// Changes flagged as bot-reverted.
     pub bot_reverted: usize,
-    /// Changes that share field *and* day with an earlier change. Cube
-    /// construction canonicalizes such writes away (last value wins), so
-    /// this is 0 for any constructor-built cube; a nonzero value flags a
-    /// change table that bypassed canonicalization.
-    pub same_day_duplicates: usize,
     /// Number of distinct fields with at least one change.
     pub distinct_fields: usize,
     /// Number of distinct fields with fewer than `min_changes_threshold`
@@ -56,10 +53,6 @@ impl CorpusStats {
         let mut by_kind = [0usize; 3];
         let mut bot_reverted = 0usize;
         let mut per_field: FxHashMap<FieldId, usize> = FxHashMap::default();
-        let mut same_day_duplicates = 0usize;
-        // Changes are (day, entity, property)-sorted, so same-day duplicates
-        // of one field are adjacent.
-        let mut prev: Option<(FieldId, crate::date::Date)> = None;
         let mut active_entities = crate::fxhash::FxHashSet::default();
         let mut active_templates = crate::fxhash::FxHashSet::default();
         for c in cube.iter_changes() {
@@ -67,11 +60,6 @@ impl CorpusStats {
             if c.flags.is_bot_reverted() {
                 bot_reverted += 1;
             }
-            let key = (c.field(), c.day);
-            if prev == Some(key) {
-                same_day_duplicates += 1;
-            }
-            prev = Some(key);
             *per_field.entry(c.field()).or_insert(0) += 1;
             active_entities.insert(c.entity);
             active_templates.insert(cube.template_of(c.entity));
@@ -85,7 +73,6 @@ impl CorpusStats {
             total_changes: cube.num_changes(),
             by_kind,
             bot_reverted,
-            same_day_duplicates,
             distinct_fields: per_field.len(),
             fields_below_min_changes,
             changes_in_sparse_fields,
@@ -115,11 +102,6 @@ impl CorpusStats {
     /// Bot-reverted changes as a fraction of all changes (paper: 0.008 %).
     pub fn bot_reverted_fraction(&self) -> f64 {
         fraction(self.bot_reverted, self.total_changes)
-    }
-
-    /// Same-day duplicate changes as a fraction of all changes.
-    pub fn same_day_duplicate_fraction(&self) -> f64 {
-        fraction(self.same_day_duplicates, self.total_changes)
     }
 }
 
@@ -166,7 +148,6 @@ mod tests {
         assert_eq!(stats.total_changes, 4);
         assert_eq!(stats.by_kind, [1, 2, 1]);
         assert_eq!(stats.bot_reverted, 1);
-        assert_eq!(stats.same_day_duplicates, 0);
         assert_eq!(stats.distinct_fields, 2);
         assert_eq!(stats.active_entities, 1);
         assert_eq!(stats.active_templates, 1);

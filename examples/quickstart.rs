@@ -24,8 +24,9 @@ fn main() {
         corpus.cube.num_templates()
     );
 
-    // 2. The §4 filter pipeline: drop bot reverts, collapse same-day
-    //    churn, drop creations/deletions and near-static fields.
+    // 2. The §4 filter pipeline: drop bot reverts, creations/deletions
+    //    and near-static fields (same-day churn already collapsed when
+    //    the cube was built).
     let (filtered, report) = FilterPipeline::paper().apply(&corpus.cube);
     println!(
         "filtered: {} changes remain ({:.1} % of raw; paper keeps 9.2 %)",

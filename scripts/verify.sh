@@ -45,9 +45,18 @@ run cargo test -q --offline -p wikistale-cli --test differential -- \
 run cargo test -q --offline -p wikistale-wikicube daylist
 run cargo test -q --offline -p wikistale-core mean_baseline
 
+# Cube-constructor gates: `from_parts` against the row path it replaced
+# (random unsorted columns with same-day duplicate keys, empty,
+# canonical and all-duplicate inputs, dangling ids), binio decoding of
+# unsorted/duplicate change sections and bad kinds or ids, and the
+# decode heap bound (at most 1.5x the change table on synth small).
+run cargo test -q --offline -p wikistale-wikicube from_parts
+run cargo test -q --offline -p wikistale-wikicube binio::tests::decode_
+run cargo test -q --offline -p wikistale-bench --test decode_heap
+
 # Filter gates: the two-pass filter against its staged reference (random
-# cubes under all 16 stage configurations, synth tiny and small), the
-# canonical-form invariant that makes the same-day stage remove nothing,
+# cubes under all 8 stage configurations, synth tiny and small), the
+# canonical-form invariant that lets the pipeline skip a same-day stage,
 # and the cross-crate filter properties (idempotence, monotonicity).
 run cargo test -q --offline -p wikistale-core filters
 run cargo test -q --offline -p wikistale-bench --test props filter

@@ -50,13 +50,13 @@ fn generate_stats_filter_evaluate_monitor() {
     let out = wikistale(&["generate", "--preset", "tiny", "--out", raw_s]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("generated"));
+    assert!(stdout(&out).contains("same-day churn"));
     assert!(raw.exists());
 
     let out = wikistale(&["stats", "--in", raw_s]);
     assert!(out.status.success());
     let text = stdout(&out);
     assert!(text.contains("creates"));
-    assert!(text.contains("same-day dups"));
 
     let out = wikistale(&["filter", "--in", raw_s, "--out", filtered_s]);
     assert!(out.status.success(), "{}", stderr(&out));

@@ -129,9 +129,11 @@ proptest! {
         }
     }
 
-    /// Stage 1, cube building: the parallel chunked stable sort + k-way
-    /// merge in `from_parts` must reproduce the serial stable sort bit
-    /// for bit — including the last-wins dedup of same-day duplicates.
+    /// Stage 1, cube building: the bytes of a built cube, including the
+    /// last-wins collapse of same-day writes to one slot, do not depend
+    /// on the thread count or the chunk size. `from_parts` sorts on one
+    /// thread, so this pins that no parallel stage leaks into the
+    /// canonical form.
     #[test]
     fn cube_bytes_independent_of_threads(
         rows in proptest::collection::vec(
@@ -447,8 +449,9 @@ fn day_list_store_matches_row_scan() {
 }
 
 /// Rebuilding a cube from its materialized rows (`changes_vec` →
-/// `with_changes`, the row-layout construction path) reproduces the
-/// binio artifact byte for byte, at --threads {1, 4}.
+/// `with_changes`, which collects the rows into columns for the cube
+/// constructor) reproduces the binio artifact byte for byte, at
+/// --threads {1, 4}.
 #[test]
 fn columnar_rebuild_from_rows_is_byte_identical() {
     let corpus = generate(&SynthConfig::tiny());

@@ -77,14 +77,14 @@ fn filtered_corpus_survives_xml_round_trip() {
 
 #[test]
 fn raw_corpus_with_deletes_round_trips_after_dedup() {
-    // With creations and deletions kept (only day-dedup applied), the
+    // With every filter stage off (same-day writes are already collapsed
+    // by cube construction) and creations and deletions kept, the
     // round trip must reproduce the *liveness* of every field: present
     // fields match values; deleted fields are absent from the final
     // snapshot either way.
     let corpus = generate(&SynthConfig::tiny());
     let dedup_only = FilterPipeline {
         drop_bot_reverted: false,
-        dedup_days: true,
         drop_creations_deletions: false,
         min_changes: None,
     };
