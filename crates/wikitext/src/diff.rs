@@ -14,11 +14,23 @@
 //! name and occurrence index within the page. Entity names are
 //! `title § template #k` so a page hosting several infoboxes (the paper's
 //! Beale-family example) yields distinct entities on one page.
+//!
+//! A revision is parsed once into a snapshot that copies nothing: each
+//! parameter becomes its interned property and the byte range of its value
+//! in the revision's comment-stripped text, which the snapshot holds (only
+//! the previous and the current revision's are alive). Boxes are matched
+//! through an index by template slot and occurrence, and parameters
+//! through a table indexed by property id that holds the first occurrence
+//! of each property in the old box, so a duplicated key is compared with
+//! its first old occurrence. The work per revision is linear in its
+//! parameters.
 
-use crate::infobox::{canonical_template_name, extract_infoboxes};
+use crate::infobox::{canonical_template_name, infoboxes, strip_comments};
 use crate::xml::PageDump;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use wikistale_wikicube::{ChangeCube, ChangeCubeBuilder, ChangeKind, EntityId};
+use std::ops::Range;
+use wikistale_wikicube::{ChangeCube, ChangeCubeBuilder, ChangeKind, EntityId, PropertyId};
 
 /// Diff all pages' revision histories into a change cube.
 pub fn build_cube(pages: &[PageDump]) -> ChangeCube {
@@ -35,6 +47,7 @@ pub fn build_cube(pages: &[PageDump]) -> ChangeCube {
 #[derive(Debug, Default)]
 pub struct CubeAccumulator {
     builder: ChangeCubeBuilder,
+    index: ParamIndex,
     pages_seen: usize,
 }
 
@@ -46,7 +59,7 @@ impl CubeAccumulator {
 
     /// Diff one page's revisions into the cube under construction.
     pub fn add_page(&mut self, page: &PageDump) -> &mut Self {
-        diff_page(&mut self.builder, page);
+        diff_page(&mut self.builder, &mut self.index, page);
         self.pages_seen += 1;
         self
     }
@@ -63,7 +76,11 @@ impl CubeAccumulator {
 
     /// Finalize into a canonical cube.
     pub fn finish(self) -> ChangeCube {
-        self.builder.finish()
+        // The parameter index is scratch: free it before the builder
+        // sorts its columns.
+        let CubeAccumulator { builder, index, .. } = self;
+        drop(index);
+        builder.finish()
     }
 }
 
@@ -97,9 +114,6 @@ pub fn is_article_title(title: &str) -> bool {
 /// of its canonical template name in [`PageMemo::canonical`] and its
 /// occurrence index among the revision's boxes of that template.
 type BoxKey = (usize, usize);
-
-/// A parsed revision: its infoboxes' keys and parameters.
-type Snapshot = Vec<(BoxKey, Vec<(String, String)>)>;
 
 /// What [`diff_page`] derives from template names, memoized for one
 /// page: its revisions mostly repeat the same boxes, so canonical names
@@ -146,70 +160,196 @@ impl PageMemo {
     }
 }
 
-fn diff_page(builder: &mut ChangeCubeBuilder, page: &PageDump) {
-    // Snapshots keep parameters in source order so interning — and hence
-    // the produced cube — is deterministic for a given input.
-    let mut memo = PageMemo::default();
-    let mut prev: Snapshot = Vec::new();
-    let mut occurrence: Vec<usize> = Vec::new();
-    for rev in &page.revisions {
-        let mut current: Snapshot = Vec::new();
-        occurrence.clear();
-        for infobox in extract_infoboxes(&rev.text) {
+/// One infobox of a [`Snapshot`]: its identity and its run of
+/// [`Snapshot::params`].
+struct SnapshotBox {
+    key: BoxKey,
+    params: Range<usize>,
+}
+
+/// A parsed revision. It holds the revision's comment-stripped text —
+/// borrowed from the page unless comments had to be cut out — and every
+/// parameter as its interned property and the byte range of its value in
+/// that text, so no key or value is copied.
+#[derive(Default)]
+struct Snapshot<'p> {
+    text: Cow<'p, str>,
+    /// Infoboxes in document order.
+    boxes: Vec<SnapshotBox>,
+    /// Parameters of all boxes, in source order.
+    params: Vec<(PropertyId, Range<usize>)>,
+    /// `by_slot[slot][k]` is the index in `boxes` of occurrence `k` of
+    /// template slot `slot`.
+    by_slot: Vec<Vec<usize>>,
+}
+
+impl<'p> Snapshot<'p> {
+    /// Replace the contents with the infoboxes of `text`, interning each
+    /// parameter's property in source order.
+    fn parse(&mut self, text: &'p str, memo: &mut PageMemo, builder: &mut ChangeCubeBuilder) {
+        self.text = strip_comments(text);
+        self.boxes.clear();
+        self.params.clear();
+        self.by_slot.iter_mut().for_each(Vec::clear);
+        let Snapshot {
+            text,
+            boxes,
+            params,
+            by_slot,
+        } = self;
+        let base = text.as_ptr() as usize;
+        for infobox in infoboxes(text) {
             // Identity is the canonical template name, so casing or
             // underscore variations across revisions do not fragment a
             // field's history into several entities.
-            let template = memo.template(&infobox.template);
-            if occurrence.len() <= template {
-                occurrence.resize(template + 1, 0);
+            let slot = memo.template(&infobox.name());
+            if by_slot.len() <= slot {
+                by_slot.resize_with(slot + 1, Vec::new);
             }
-            current.push(((template, occurrence[template]), infobox.params));
-            occurrence[template] += 1;
+            let occurrences = &mut by_slot[slot];
+            let key = (slot, occurrences.len());
+            occurrences.push(boxes.len());
+            let first = params.len();
+            for (name, value) in infobox.params() {
+                // `value` is a slice of `text`.
+                let start = value.as_ptr() as usize - base;
+                params.push((builder.property(&name), start..start + value.len()));
+            }
+            boxes.push(SnapshotBox {
+                key,
+                params: first..params.len(),
+            });
         }
+    }
 
-        let lookup =
-            |snapshot: &Snapshot, key: &BoxKey| snapshot.iter().position(|(k, _)| k == key);
+    /// The box with identity `key`, if this revision has it.
+    fn find(&self, (slot, occurrence): BoxKey) -> Option<&SnapshotBox> {
+        let index = *self.by_slot.get(slot)?.get(occurrence)?;
+        Some(&self.boxes[index])
+    }
+
+    fn params(&self, infobox: &SnapshotBox) -> &[(PropertyId, Range<usize>)] {
+        &self.params[infobox.params.clone()]
+    }
+
+    fn value(&self, range: &Range<usize>) -> &str {
+        &self.text[range.clone()]
+    }
+}
+
+/// Where each property sits in the old box of the pair being compared,
+/// and which properties the new box has, as tables indexed by
+/// [`PropertyId`]. An entry counts only while its stamp is the current
+/// one, so moving on to the next pair of boxes clears nothing. The
+/// tables grow to the largest property id they meet.
+#[derive(Debug, Default)]
+struct ParamIndex {
+    stamp: u32,
+    /// Stamp and the index among the old box's parameters of each
+    /// property's first occurrence there.
+    first: Vec<(u32, usize)>,
+    /// Stamp of the new box's properties.
+    seen: Vec<u32>,
+}
+
+impl ParamIndex {
+    /// Start a new pair of boxes: index `old` by property, keeping each
+    /// property's first occurrence.
+    fn index_old(&mut self, old: &[(PropertyId, Range<usize>)]) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Stamps wrapped: entries of a previous round would read as
+            // current.
+            self.first.fill((0, 0));
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        for (i, (property, _)) in old.iter().enumerate() {
+            let p = property.index();
+            if self.first.len() <= p {
+                self.first.resize(p + 1, (0, 0));
+            }
+            if self.first[p].0 != self.stamp {
+                self.first[p] = (self.stamp, i);
+            }
+        }
+    }
+
+    /// Mark `property` as present in the new box and return the index of
+    /// its first occurrence in the old box, if it has one.
+    fn see(&mut self, property: PropertyId) -> Option<usize> {
+        let p = property.index();
+        if self.seen.len() <= p {
+            self.seen.resize(p + 1, 0);
+        }
+        self.seen[p] = self.stamp;
+        match self.first.get(p) {
+            Some(&(stamp, i)) if stamp == self.stamp => Some(i),
+            _ => None,
+        }
+    }
+
+    /// Whether the new box has `property`.
+    fn seen(&self, property: PropertyId) -> bool {
+        self.seen.get(property.index()) == Some(&self.stamp)
+    }
+}
+
+/// Diff one page's revisions. Changes are emitted per revision in this
+/// order, which fixes value ids and which same-day write is last: for
+/// each box in document order, its creates and updates in source order
+/// and then the deletes of its old parameters in their old order; then
+/// the deletes of every box that disappeared.
+fn diff_page(builder: &mut ChangeCubeBuilder, index: &mut ParamIndex, page: &PageDump) {
+    let mut memo = PageMemo::default();
+    let mut prev = Snapshot::default();
+    let mut current = Snapshot::default();
+    for rev in &page.revisions {
+        current.parse(&rev.text, &mut memo, builder);
 
         // Creates, updates, and per-parameter deletes.
-        for (key, params) in &current {
-            let entity = memo.entity(builder, &page.title, *key);
-            let old = lookup(&prev, key).map(|i| &prev[i].1);
-            for (param, value) in params {
-                let property = builder.property(param);
-                let old_value =
-                    old.and_then(|o| o.iter().find(|(k, _)| k == param).map(|(_, v)| v.as_str()));
-                match old_value {
+        for infobox in &current.boxes {
+            let entity = memo.entity(builder, &page.title, infobox.key);
+            let params = current.params(infobox);
+            let Some(old_box) = prev.find(infobox.key) else {
+                for (property, value) in params {
+                    let value = current.value(value);
+                    builder.change(rev.date, entity, *property, value, ChangeKind::Create);
+                }
+                continue;
+            };
+            let old = prev.params(old_box);
+            index.index_old(old);
+            for (property, value) in params {
+                let value = current.value(value);
+                match index.see(*property) {
                     None => {
-                        builder.change(rev.date, entity, property, value, ChangeKind::Create);
+                        builder.change(rev.date, entity, *property, value, ChangeKind::Create);
                     }
-                    Some(old_value) if old_value != value => {
-                        builder.change(rev.date, entity, property, value, ChangeKind::Update);
+                    Some(i) if prev.value(&old[i].1) != value => {
+                        builder.change(rev.date, entity, *property, value, ChangeKind::Update);
                     }
                     Some(_) => {}
                 }
             }
-            if let Some(old) = old {
-                for (param, _) in old {
-                    if !params.iter().any(|(k, _)| k == param) {
-                        let property = builder.property(param);
-                        builder.change(rev.date, entity, property, "", ChangeKind::Delete);
-                    }
+            for (property, _) in old {
+                if !index.seen(*property) {
+                    builder.change(rev.date, entity, *property, "", ChangeKind::Delete);
                 }
             }
         }
 
         // Whole infoboxes that disappeared.
-        for (key, old_params) in &prev {
-            if lookup(&current, key).is_none() {
-                let entity = memo.entity(builder, &page.title, *key);
-                for (param, _) in old_params {
-                    let property = builder.property(param);
-                    builder.change(rev.date, entity, property, "", ChangeKind::Delete);
+        for old_box in &prev.boxes {
+            if current.find(old_box.key).is_none() {
+                let entity = memo.entity(builder, &page.title, old_box.key);
+                for (property, _) in prev.params(old_box) {
+                    builder.change(rev.date, entity, *property, "", ChangeKind::Delete);
                 }
             }
         }
 
-        prev = current;
+        std::mem::swap(&mut prev, &mut current);
     }
 }
 
@@ -225,6 +365,7 @@ fn entity_name(title: &str, template: &str, occurrence: usize) -> String {
 mod tests {
     use super::*;
     use crate::xml::Revision;
+    use proptest::prelude::*;
     use wikistale_wikicube::Date;
 
     fn day(n: i32) -> Date {
@@ -405,5 +546,280 @@ mod tests {
         let c = cube.change_at(0);
         assert_eq!(c.day, day(0));
         assert_eq!(cube.value_text(c.value), "3");
+    }
+
+    #[test]
+    fn duplicated_key_compares_against_its_first_old_occurrence() {
+        let cube = build_cube(&[page(
+            "P",
+            vec![
+                (0, "{{Infobox x | a = 1 | a = 2}}"),
+                // Equal to the first old `a`: no change, although the
+                // day's last write left the field at 2.
+                (1, "{{Infobox x | a = 1}}"),
+                // The first `a` differs from the old one, the second
+                // does not; both old occurrences are still present.
+                (2, "{{Infobox x | a = 2 | a = 1}}"),
+            ],
+        )]);
+        let changes: Vec<(Date, ChangeKind, &str)> = cube
+            .iter_changes()
+            .map(|c| (c.day, c.kind, cube.value_text(c.value)))
+            .collect();
+        assert_eq!(
+            changes,
+            vec![
+                (day(0), ChangeKind::Create, "2"),
+                (day(2), ChangeKind::Update, "2"),
+            ]
+        );
+        assert_eq!(
+            wikistale_wikicube::binio::encode(&cube),
+            wikistale_wikicube::binio::encode(&reference::build_cube(&[page(
+                "P",
+                vec![
+                    (0, "{{Infobox x | a = 1 | a = 2}}"),
+                    (1, "{{Infobox x | a = 1}}"),
+                    (2, "{{Infobox x | a = 2 | a = 1}}"),
+                ],
+            )]))
+        );
+    }
+
+    #[test]
+    fn commented_revision_diffs_like_its_stripped_text() {
+        let cube = build_cube(&[page(
+            "P",
+            vec![
+                (
+                    0,
+                    "{{Infobox x | a = 1 <!-- as of 2019 --> | b <!-- key --> = 2}}",
+                ),
+                // A comment hides `c`; only `b` changes.
+                (3, "{{Infobox x | a = 1 | b = 3 <!-- | c = 4 -->}}"),
+                // The previous revision's stripped text is still compared
+                // against: the same values without comments change nothing.
+                (5, "{{Infobox x | a = 1 | b = 3 }}"),
+                (7, "{{Infobox x | a = 1 | b = 3 | c = 4}}"),
+            ],
+        )]);
+        let changes: Vec<(Date, ChangeKind, &str, &str)> = cube
+            .iter_changes()
+            .map(|c| {
+                let property = cube.property_name(c.property);
+                (c.day, c.kind, property, cube.value_text(c.value))
+            })
+            .collect();
+        assert_eq!(
+            changes,
+            vec![
+                (day(0), ChangeKind::Create, "a", "1"),
+                (day(0), ChangeKind::Create, "b", "2"),
+                (day(3), ChangeKind::Update, "b", "3"),
+                (day(7), ChangeKind::Create, "c", "4"),
+            ]
+        );
+    }
+
+    /// Spellings of two infobox templates and of two other templates.
+    const TEMPLATES: [&str; 7] = [
+        "Infobox x",
+        "infobox_X",
+        "Infobox  x",
+        "Infobox y",
+        "Infobox\ty",
+        "Navbox",
+        "cite web",
+    ];
+    /// Keys, including whitespace variants of one key and empty keys.
+    const KEYS: [&str; 9] = ["a", "b", "a b", "a  b", "a\tb", " c ", "d", "", "b "];
+    /// Values, including nested templates, links and comments.
+    const VALUES: [&str; 9] = [
+        "1",
+        "2",
+        "",
+        "{{nts|3}}",
+        "[[L|l]]",
+        "x <!-- note -->",
+        "a = b",
+        " 2 ",
+        "{{cite web | url = u}}",
+    ];
+
+    /// A small deterministic generator for page histories.
+    struct Histories(u64);
+
+    impl Histories {
+        fn below(&mut self, n: usize) -> usize {
+            // xorshift64*
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+
+        fn template(&mut self) -> String {
+            let mut text = format!("{{{{{}", TEMPLATES[self.below(TEMPLATES.len())]);
+            for _ in 0..self.below(6) {
+                text.push_str(match self.below(8) {
+                    0 => " | positional",
+                    1 => " <!-- comment -->",
+                    _ => "",
+                });
+                let key = KEYS[self.below(KEYS.len())];
+                let value = VALUES[self.below(VALUES.len())];
+                text.push_str(&format!(" | {key} = {value}"));
+            }
+            text.push_str("}}");
+            text
+        }
+
+        /// One page of up to eight revisions over a few days, so
+        /// same-day revisions are common; boxes and parameters come and
+        /// go between revisions.
+        fn page(&mut self, title: &str) -> PageDump {
+            let mut date = 0;
+            let mut revisions = Vec::new();
+            let mut boxes: Vec<String> = Vec::new();
+            for _ in 0..1 + self.below(8) {
+                date += self.below(3) as i32;
+                match self.below(4) {
+                    0 if !boxes.is_empty() => {
+                        let i = self.below(boxes.len());
+                        boxes.remove(i);
+                    }
+                    1 | 2 if !boxes.is_empty() => {
+                        let i = self.below(boxes.len());
+                        boxes[i] = self.template();
+                    }
+                    _ => {
+                        let i = self.below(boxes.len() + 1);
+                        let template = self.template();
+                        boxes.insert(i, template);
+                    }
+                }
+                let mut text = String::from("Lead. ");
+                if self.below(5) == 0 {
+                    text.push_str("<!-- {{Infobox x | a = hidden}} --> ");
+                }
+                text.push_str(&boxes.join("\n"));
+                revisions.push(Revision {
+                    date: day(date),
+                    text,
+                });
+            }
+            PageDump {
+                title: title.to_owned(),
+                revisions,
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_diff_matches_the_string_reference(seed in 1u64..u64::MAX, pages in 1usize..5) {
+            let mut histories = Histories(seed);
+            let pages: Vec<PageDump> =
+                (0..pages).map(|p| histories.page(&format!("Page {p}"))).collect();
+            prop_assert_eq!(
+                wikistale_wikicube::binio::encode(&build_cube(&pages)),
+                wikistale_wikicube::binio::encode(&reference::build_cube(&pages)),
+                "{:#?}",
+                pages
+            );
+        }
+    }
+
+    /// The differ as it was before parameters were borrowed: owned
+    /// `(key, value)` strings per snapshot, boxes and keys matched by
+    /// linear scans, each key's first old occurrence compared.
+    mod reference {
+        use super::super::{BoxKey, PageMemo};
+        use crate::infobox::extract_infoboxes;
+        use crate::xml::PageDump;
+        use wikistale_wikicube::{ChangeCube, ChangeCubeBuilder, ChangeKind};
+
+        type Snapshot = Vec<(BoxKey, Vec<(String, String)>)>;
+
+        pub(super) fn build_cube(pages: &[PageDump]) -> ChangeCube {
+            let mut builder = ChangeCubeBuilder::new();
+            for page in pages {
+                diff_page(&mut builder, page);
+            }
+            builder.finish()
+        }
+
+        fn diff_page(builder: &mut ChangeCubeBuilder, page: &PageDump) {
+            let mut memo = PageMemo::default();
+            let mut prev: Snapshot = Vec::new();
+            let mut occurrence: Vec<usize> = Vec::new();
+            for rev in &page.revisions {
+                let mut current: Snapshot = Vec::new();
+                occurrence.clear();
+                for infobox in extract_infoboxes(&rev.text) {
+                    let template = memo.template(&infobox.template);
+                    if occurrence.len() <= template {
+                        occurrence.resize(template + 1, 0);
+                    }
+                    current.push(((template, occurrence[template]), infobox.params));
+                    occurrence[template] += 1;
+                }
+
+                let lookup =
+                    |snapshot: &Snapshot, key: &BoxKey| snapshot.iter().position(|(k, _)| k == key);
+
+                for (key, params) in &current {
+                    let entity = memo.entity(builder, &page.title, *key);
+                    let old = lookup(&prev, key).map(|i| &prev[i].1);
+                    for (param, value) in params {
+                        let property = builder.property(param);
+                        let old_value = old.and_then(|o| {
+                            o.iter().find(|(k, _)| k == param).map(|(_, v)| v.as_str())
+                        });
+                        match old_value {
+                            None => {
+                                builder.change(
+                                    rev.date,
+                                    entity,
+                                    property,
+                                    value,
+                                    ChangeKind::Create,
+                                );
+                            }
+                            Some(old_value) if old_value != value => {
+                                builder.change(
+                                    rev.date,
+                                    entity,
+                                    property,
+                                    value,
+                                    ChangeKind::Update,
+                                );
+                            }
+                            Some(_) => {}
+                        }
+                    }
+                    if let Some(old) = old {
+                        for (param, _) in old {
+                            if !params.iter().any(|(k, _)| k == param) {
+                                let property = builder.property(param);
+                                builder.change(rev.date, entity, property, "", ChangeKind::Delete);
+                            }
+                        }
+                    }
+                }
+
+                for (key, old_params) in &prev {
+                    if lookup(&current, key).is_none() {
+                        let entity = memo.entity(builder, &page.title, *key);
+                        for (param, _) in old_params {
+                            let property = builder.property(param);
+                            builder.change(rev.date, entity, property, "", ChangeKind::Delete);
+                        }
+                    }
+                }
+
+                prev = current;
+            }
+        }
     }
 }

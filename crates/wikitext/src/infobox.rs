@@ -6,6 +6,21 @@
 //! (`[[target|label]]`, whose pipes must not split parameters), and HTML
 //! comments — without attempting full wikitext semantics (no template
 //! expansion, no parser functions).
+//!
+//! There is one parser and it copies nothing. `strip_comments` cuts the
+//! comments out of a revision (borrowing it when it has none), and
+//! `infoboxes` walks the result, yielding each infobox as an `InfoboxRef`
+//! of slices of that text: its name, then its `(key, value)` pairs from
+//! `InfoboxRef::params`. A key is borrowed unless its whitespace has to
+//! be normalized; a value is a trimmed slice. One pass over each
+//! parameter finds both its closing top-level `|` and its first
+//! top-level `=`. The revision differ consumes these slices directly;
+//! [`extract_infoboxes`] copies them into owned [`Infobox`]es.
+//!
+//! Scanning is linear in the text, also on hostile input: a `{{` that
+//! never closes is rejected in O(1) once one failed scan has measured the
+//! text's brace depths (see `BraceRuns`), instead of each such start
+//! rescanning to the end of the text.
 
 use std::borrow::Cow;
 
@@ -37,25 +52,7 @@ impl Infobox {
 /// (ASCII case-insensitive), matching Wikipedia's naming convention.
 pub fn extract_infoboxes(text: &str) -> Vec<Infobox> {
     let text = strip_comments(text);
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < bytes.len() {
-        if bytes[i] == b'{' && bytes[i + 1] == b'{' {
-            if let Some(end) = find_template_end(bytes, i) {
-                let inner = &text[i + 2..end - 2];
-                if let Some(infobox) = parse_template(inner) {
-                    out.push(infobox);
-                }
-                // Skip the whole template: nested infoboxes are not
-                // extracted separately (they belong to the outer box).
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
+    infoboxes(&text).map(InfoboxRef::into_owned).collect()
 }
 
 /// Render an infobox back to wikitext in the multi-line style common on
@@ -77,7 +74,7 @@ pub fn render_infobox(infobox: &Infobox) -> String {
 
 /// Remove `<!-- … -->` comments (unterminated comments run to the end, as
 /// in MediaWiki). Text without comments is returned as is.
-fn strip_comments(text: &str) -> Cow<'_, str> {
+pub(crate) fn strip_comments(text: &str) -> Cow<'_, str> {
     if !text.contains("<!--") {
         return Cow::Borrowed(text);
     }
@@ -92,6 +89,75 @@ fn strip_comments(text: &str) -> Cow<'_, str> {
     }
     out.push_str(rest);
     Cow::Owned(out)
+}
+
+/// The infoboxes of `text`, which must already be comment-stripped (see
+/// [`strip_comments`]), in document order. Nested infoboxes are not
+/// yielded separately: they belong to the outer template's values.
+pub(crate) fn infoboxes(text: &str) -> Infoboxes<'_> {
+    Infoboxes {
+        text,
+        pos: 0,
+        runs: None,
+    }
+}
+
+/// Iterator returned by [`infoboxes`].
+#[derive(Debug)]
+pub(crate) struct Infoboxes<'a> {
+    text: &'a str,
+    /// Where the search for the next `{{` resumes.
+    pos: usize,
+    /// Brace depths of the whole text, measured on the first `{{` whose
+    /// template never closes.
+    runs: Option<BraceRuns>,
+}
+
+impl<'a> Iterator for Infoboxes<'a> {
+    type Item = InfoboxRef<'a>;
+
+    fn next(&mut self) -> Option<InfoboxRef<'a>> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        while self.pos + 1 < bytes.len() {
+            let i = self.pos;
+            if bytes[i] == b'{' && bytes[i + 1] == b'{' {
+                if let Some(end) = self.template_end(i) {
+                    // Skip the whole template, infobox or not.
+                    self.pos = end;
+                    match InfoboxRef::parse(&text[i + 2..end - 2]) {
+                        Some(infobox) => return Some(infobox),
+                        None => continue,
+                    }
+                }
+            }
+            self.pos += 1;
+        }
+        None
+    }
+}
+
+impl Infoboxes<'_> {
+    /// One past the `}}` closing the template opened at `start`, if any.
+    /// The first start that fails pays one scan to the end of the text
+    /// and one pass measuring its brace depths; every later start that
+    /// fails is rejected from those depths without scanning.
+    fn template_end(&mut self, start: usize) -> Option<usize> {
+        let bytes = self.text.as_bytes();
+        match &mut self.runs {
+            Some(runs) => runs
+                .closes(start)
+                .then(|| find_template_end(bytes, start))
+                .flatten(),
+            None => {
+                let end = find_template_end(bytes, start);
+                if end.is_none() {
+                    self.runs = Some(BraceRuns::measure(bytes));
+                }
+                end
+            }
+        }
+    }
 }
 
 /// Given `bytes[start..]` beginning with `{{`, find the index one past the
@@ -116,115 +182,212 @@ fn find_template_end(bytes: &[u8], start: usize) -> Option<usize> {
     None
 }
 
-/// Parse the inside of a `{{ … }}` template; `None` when it is not an
-/// infobox.
-fn parse_template(inner: &str) -> Option<Infobox> {
-    let parts = split_top_level(inner);
-    let mut parts = parts.into_iter();
-    let name = parts.next()?;
-    // "infobox" holds no whitespace, so testing the raw name's first word
-    // equals testing the normalized name.
-    let is_infobox = name
-        .trim_start()
-        .as_bytes()
-        .get(..7)
-        .is_some_and(|prefix| prefix.eq_ignore_ascii_case(b"infobox"));
-    if !is_infobox {
-        return None;
-    }
-    let name = normalize_ws(name);
-    let mut params = Vec::new();
-    for part in parts {
-        // Positional parameters (no top-level `=`) are not used by
-        // infoboxes; skip them rather than invent keys.
-        if let Some(eq) = find_top_level_eq(part) {
-            let key = normalize_ws(&part[..eq]);
-            let value = part[eq + 1..].trim().to_owned();
-            if !key.is_empty() {
-                params.push((key, value));
-            }
-        }
-    }
-    Some(Infobox {
-        template: name,
-        params,
-    })
+/// Whether [`find_template_end`] succeeds from a given `{{`, answered in
+/// O(1) from one pass over the text.
+///
+/// The scan pairs `{` bytes greedily from where it starts, so a scan from
+/// any `{{` inside a run of `{` leaves the run at the run's end, `c` opens
+/// deep, and from there tokenizes exactly like one canonical scan of the
+/// whole text from its first byte. Run the canonical scan once with a
+/// signed depth; the scan from the start closes exactly when the
+/// canonical depth later falls `c` below its value at the run's end, that
+/// is, when the minimum depth after the run is at most the depth at its
+/// end minus `c`.
+#[derive(Debug)]
+struct BraceRuns {
+    /// Every run of two or more `{`, in text order.
+    runs: Vec<BraceRun>,
+    /// First run that may still hold a start; starts arrive in text order.
+    next: usize,
 }
 
-/// Split template content on `|` at nesting depth zero with respect to
-/// `{{ }}` and `[[ ]]`.
-fn split_top_level(inner: &str) -> Vec<&str> {
-    let bytes = inner.as_bytes();
-    let mut parts = Vec::new();
-    let mut template_depth = 0usize;
-    let mut link_depth = 0usize;
-    let mut last = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' if i + 1 < bytes.len() && bytes[i + 1] == b'{' => {
-                template_depth += 1;
+#[derive(Debug)]
+struct BraceRun {
+    /// One past the run's last `{`.
+    end: usize,
+    /// Canonical depth at `end`.
+    depth: isize,
+    /// Lowest canonical depth after a `}}` past `end`; `isize::MAX` when
+    /// none follows.
+    min_after: isize,
+}
+
+impl BraceRuns {
+    fn measure(bytes: &[u8]) -> BraceRuns {
+        let mut runs: Vec<BraceRun> = Vec::new();
+        let mut depth = 0isize;
+        let mut i = 0;
+        while i + 1 < bytes.len() {
+            if bytes[i] == b'{' && bytes[i + 1] == b'{' {
+                // The canonical scan only enters a run at its first byte.
+                let end = i + bytes[i..].iter().take_while(|&&b| b == b'{').count();
+                depth += ((end - i) / 2) as isize;
+                runs.push(BraceRun {
+                    end,
+                    depth,
+                    min_after: isize::MAX,
+                });
+                i = end;
+            } else if bytes[i] == b'}' && bytes[i + 1] == b'}' {
+                depth -= 1;
                 i += 2;
-            }
-            b'}' if i + 1 < bytes.len() && bytes[i + 1] == b'}' => {
-                template_depth = template_depth.saturating_sub(1);
-                i += 2;
-            }
-            b'[' if i + 1 < bytes.len() && bytes[i + 1] == b'[' => {
-                link_depth += 1;
-                i += 2;
-            }
-            b']' if i + 1 < bytes.len() && bytes[i + 1] == b']' => {
-                link_depth = link_depth.saturating_sub(1);
-                i += 2;
-            }
-            b'|' if template_depth == 0 && link_depth == 0 => {
-                parts.push(&inner[last..i]);
+                if let Some(run) = runs.last_mut() {
+                    run.min_after = run.min_after.min(depth);
+                }
+            } else {
                 i += 1;
-                last = i;
             }
-            _ => i += 1,
+        }
+        // Each run has the minimum up to the next run; carry the minima
+        // of later runs backwards.
+        for k in (1..runs.len()).rev() {
+            let later = runs[k].min_after;
+            let run = &mut runs[k - 1];
+            run.min_after = run.min_after.min(later);
+        }
+        BraceRuns { runs, next: 0 }
+    }
+
+    /// Whether the template opened by the `{{` at `start` closes. Starts
+    /// must be asked about in increasing order.
+    fn closes(&mut self, start: usize) -> bool {
+        while self.runs.get(self.next).is_some_and(|run| run.end <= start) {
+            self.next += 1;
+        }
+        match self.runs.get(self.next) {
+            Some(run) => {
+                let opens = ((run.end - start) / 2) as isize;
+                run.min_after <= run.depth - opens
+            }
+            None => false,
         }
     }
-    parts.push(&inner[last..]);
-    parts
 }
 
-/// Index of the first `=` outside nested templates and links, if any.
-fn find_top_level_eq(part: &str) -> Option<usize> {
-    let bytes = part.as_bytes();
+/// One infobox as slices of the comment-stripped text it was found in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InfoboxRef<'a> {
+    /// The template's inside, between `{{` and `}}`.
+    inner: &'a str,
+    /// Where the name ends: the first top-level `|`, or `inner.len()`.
+    name_end: usize,
+}
+
+impl<'a> InfoboxRef<'a> {
+    /// `inner` as an infobox, `None` when the template is not one.
+    fn parse(inner: &'a str) -> Option<InfoboxRef<'a>> {
+        let (name_end, _) = scan_part(inner.as_bytes(), 0);
+        // "infobox" holds no whitespace, so testing the raw name's first
+        // word equals testing the normalized name.
+        let is_infobox = inner[..name_end]
+            .trim_start()
+            .as_bytes()
+            .get(..7)
+            .is_some_and(|prefix| prefix.eq_ignore_ascii_case(b"infobox"));
+        is_infobox.then_some(InfoboxRef { inner, name_end })
+    }
+
+    /// The template name, whitespace-normalized (e.g. `Infobox
+    /// settlement`).
+    pub(crate) fn name(&self) -> Cow<'a, str> {
+        normalize_ws(&self.inner[..self.name_end])
+    }
+
+    /// The named parameters in source order: whitespace-normalized keys
+    /// and trimmed values. Positional parameters (no top-level `=`) are
+    /// not used by infoboxes and are skipped rather than given invented
+    /// keys; so are parameters whose key is empty.
+    pub(crate) fn params(&self) -> Params<'a> {
+        Params {
+            inner: self.inner,
+            pos: self.name_end + 1,
+        }
+    }
+
+    /// The box as an owned [`Infobox`].
+    fn into_owned(self) -> Infobox {
+        Infobox {
+            template: self.name().into_owned(),
+            params: self
+                .params()
+                .map(|(k, v)| (k.into_owned(), v.to_owned()))
+                .collect(),
+        }
+    }
+}
+
+/// Iterator returned by [`InfoboxRef::params`].
+#[derive(Debug, Clone)]
+pub(crate) struct Params<'a> {
+    inner: &'a str,
+    /// Start of the next parameter; past the end once the last one is
+    /// read.
+    pos: usize,
+}
+
+impl<'a> Iterator for Params<'a> {
+    type Item = (Cow<'a, str>, &'a str);
+
+    fn next(&mut self) -> Option<(Cow<'a, str>, &'a str)> {
+        while self.pos <= self.inner.len() {
+            let start = self.pos;
+            let (end, eq) = scan_part(self.inner.as_bytes(), start);
+            self.pos = end + 1;
+            if let Some(eq) = eq {
+                let key = normalize_ws(&self.inner[start..eq]);
+                if !key.is_empty() {
+                    return Some((key, self.inner[eq + 1..end].trim()));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Scan the template part starting at `from` for the `|` that ends it at
+/// nesting depth zero with respect to `{{ }}` and `[[ ]]`, and for its
+/// first `=` at depth zero. Returns the part's end (`bytes.len()` for the
+/// last part) and that `=`, if any. Closing brackets never take a depth
+/// below zero.
+fn scan_part(bytes: &[u8], from: usize) -> (usize, Option<usize>) {
     let mut template_depth = 0usize;
     let mut link_depth = 0usize;
-    let mut i = 0usize;
+    let mut eq = None;
+    let mut i = from;
     while i < bytes.len() {
+        let pair = bytes.get(i + 1) == Some(&bytes[i]);
         match bytes[i] {
-            b'{' if i + 1 < bytes.len() && bytes[i + 1] == b'{' => {
+            b'{' if pair => {
                 template_depth += 1;
                 i += 2;
             }
-            b'}' if i + 1 < bytes.len() && bytes[i + 1] == b'}' => {
+            b'}' if pair => {
                 template_depth = template_depth.saturating_sub(1);
                 i += 2;
             }
-            b'[' if i + 1 < bytes.len() && bytes[i + 1] == b'[' => {
+            b'[' if pair => {
                 link_depth += 1;
                 i += 2;
             }
-            b']' if i + 1 < bytes.len() && bytes[i + 1] == b']' => {
+            b']' if pair => {
                 link_depth = link_depth.saturating_sub(1);
                 i += 2;
             }
-            b'=' if template_depth == 0 && link_depth == 0 => return Some(i),
+            b'|' if template_depth == 0 && link_depth == 0 => return (i, eq),
+            b'=' if eq.is_none() && template_depth == 0 && link_depth == 0 => {
+                eq = Some(i);
+                i += 1;
+            }
             _ => i += 1,
         }
     }
-    None
+    (bytes.len(), eq)
 }
 
-/// Collapse internal whitespace runs to single spaces and trim.
-fn normalize_ws(s: &str) -> String {
+/// Collapse internal whitespace runs to single spaces and trim; borrowed
+/// when `s` is already in that form.
+fn normalize_ws(s: &str) -> Cow<'_, str> {
     let trimmed = s.trim();
-    // Most keys are already normal: copy them in one allocation.
     let mut prev_space = false;
     let normal = trimmed.chars().all(|c| {
         let ok = !c.is_whitespace() || (c == ' ' && !prev_space);
@@ -232,9 +395,9 @@ fn normalize_ws(s: &str) -> String {
         ok
     });
     if normal {
-        return trimmed.to_owned();
+        return Cow::Borrowed(trimmed);
     }
-    trimmed.split_whitespace().collect::<Vec<_>>().join(" ")
+    Cow::Owned(trimmed.split_whitespace().collect::<Vec<_>>().join(" "))
 }
 
 /// Canonical identity of a template name: lower-cased, with underscores
@@ -437,6 +600,224 @@ More text."#;
                 boxes.len(),
                 usize::from(reference(&name).to_ascii_lowercase().starts_with("infobox"))
             );
+        }
+
+        #[test]
+        fn prop_matches_reference_scanner_on_brace_heavy_text(
+            tokens in proptest::collection::vec(0usize..BRACE_HEAVY.len(), 0..80),
+        ) {
+            let text: String = tokens.iter().map(|&t| BRACE_HEAVY[t]).collect();
+            prop_assert_eq!(extract_infoboxes(&text), reference::extract_infoboxes(&text));
+        }
+
+        #[test]
+        fn prop_brace_runs_agree_with_the_scan_at_every_start(
+            tokens in proptest::collection::vec(0usize..BRACE_HEAVY.len(), 0..80),
+        ) {
+            let text: String = tokens.iter().map(|&t| BRACE_HEAVY[t]).collect();
+            let bytes = text.as_bytes();
+            let mut runs = BraceRuns::measure(bytes);
+            for start in 0..bytes.len().saturating_sub(1) {
+                if bytes[start] == b'{' && bytes[start + 1] == b'{' {
+                    prop_assert_eq!(
+                        runs.closes(start),
+                        find_template_end(bytes, start).is_some(),
+                        "start {} of {:?}",
+                        start,
+                        text
+                    );
+                }
+            }
+        }
+    }
+
+    /// Tokens for brace-heavy text: unbalanced and nested braces and
+    /// links, separators, comment markers and names, some infoboxes.
+    const BRACE_HEAVY: [&str; 19] = [
+        "{",
+        "}",
+        "{{",
+        "}}",
+        "[",
+        "]",
+        "[[",
+        "]]",
+        "|",
+        "=",
+        "<!--",
+        "-->",
+        "a",
+        "b",
+        " ",
+        "\t",
+        "Infobox ",
+        "{{infobox_x",
+        "x",
+    ];
+
+    #[test]
+    fn keys_are_borrowed_unless_whitespace_is_rewritten() {
+        let text = "{{Infobox x | plain key = 1 |  spaced\tkey  = 2}}";
+        let boxes: Vec<InfoboxRef<'_>> = infoboxes(text).collect();
+        assert_eq!(boxes.len(), 1);
+        assert!(matches!(boxes[0].name(), Cow::Borrowed("Infobox x")));
+        let params: Vec<_> = boxes[0].params().collect();
+        assert!(matches!(params[0], (Cow::Borrowed("plain key"), "1")));
+        assert!(matches!(&params[1], (Cow::Owned(k), "2") if k == "spaced key"));
+    }
+
+    #[test]
+    fn unclosed_templates_extract_in_linear_time() {
+        // Each shape is 1 MB of starts that never close, or mostly not;
+        // a rescan to the end of the text per start would take hours.
+        let shapes = ["{{", "{{a|", "{{{{}}", "{{x}}{{"];
+        for shape in shapes {
+            let text = shape.repeat((1 << 20) / shape.len());
+            let started = std::time::Instant::now();
+            let boxes = extract_infoboxes(&text);
+            let elapsed = started.elapsed();
+            assert!(boxes.is_empty(), "{shape:?}");
+            assert!(
+                elapsed < std::time::Duration::from_secs(1),
+                "1 MB of {shape:?} took {elapsed:?}"
+            );
+        }
+        // The same verdicts as the reference scanner on a short text.
+        for shape in shapes {
+            let text = format!("{}{{{{Infobox y | a = 1}}}}", shape.repeat(300));
+            assert_eq!(
+                extract_infoboxes(&text),
+                reference::extract_infoboxes(&text),
+                "{shape:?}"
+            );
+        }
+    }
+
+    /// The extractor as it was before parameters were borrowed: a rescan
+    /// to the end of the text from every `{{` that does not close, and
+    /// separate passes for a template's `|` splits and each part's `=`.
+    pub(crate) mod reference {
+        use super::super::{find_template_end, strip_comments, Infobox};
+
+        pub(crate) fn extract_infoboxes(text: &str) -> Vec<Infobox> {
+            let text = strip_comments(text);
+            let bytes = text.as_bytes();
+            let mut out = Vec::new();
+            let mut i = 0;
+            while i + 1 < bytes.len() {
+                if bytes[i] == b'{' && bytes[i + 1] == b'{' {
+                    if let Some(end) = find_template_end(bytes, i) {
+                        let inner = &text[i + 2..end - 2];
+                        if let Some(infobox) = parse_template(inner) {
+                            out.push(infobox);
+                        }
+                        i = end;
+                        continue;
+                    }
+                }
+                i += 1;
+            }
+            out
+        }
+
+        fn parse_template(inner: &str) -> Option<Infobox> {
+            let parts = split_top_level(inner);
+            let mut parts = parts.into_iter();
+            let name = parts.next()?;
+            let is_infobox = name
+                .trim_start()
+                .as_bytes()
+                .get(..7)
+                .is_some_and(|prefix| prefix.eq_ignore_ascii_case(b"infobox"));
+            if !is_infobox {
+                return None;
+            }
+            let name = normalize_ws(name);
+            let mut params = Vec::new();
+            for part in parts {
+                if let Some(eq) = find_top_level_eq(part) {
+                    let key = normalize_ws(&part[..eq]);
+                    let value = part[eq + 1..].trim().to_owned();
+                    if !key.is_empty() {
+                        params.push((key, value));
+                    }
+                }
+            }
+            Some(Infobox {
+                template: name,
+                params,
+            })
+        }
+
+        fn split_top_level(inner: &str) -> Vec<&str> {
+            let bytes = inner.as_bytes();
+            let mut parts = Vec::new();
+            let mut template_depth = 0usize;
+            let mut link_depth = 0usize;
+            let mut last = 0usize;
+            let mut i = 0usize;
+            while i < bytes.len() {
+                match bytes[i] {
+                    b'{' if i + 1 < bytes.len() && bytes[i + 1] == b'{' => {
+                        template_depth += 1;
+                        i += 2;
+                    }
+                    b'}' if i + 1 < bytes.len() && bytes[i + 1] == b'}' => {
+                        template_depth = template_depth.saturating_sub(1);
+                        i += 2;
+                    }
+                    b'[' if i + 1 < bytes.len() && bytes[i + 1] == b'[' => {
+                        link_depth += 1;
+                        i += 2;
+                    }
+                    b']' if i + 1 < bytes.len() && bytes[i + 1] == b']' => {
+                        link_depth = link_depth.saturating_sub(1);
+                        i += 2;
+                    }
+                    b'|' if template_depth == 0 && link_depth == 0 => {
+                        parts.push(&inner[last..i]);
+                        i += 1;
+                        last = i;
+                    }
+                    _ => i += 1,
+                }
+            }
+            parts.push(&inner[last..]);
+            parts
+        }
+
+        fn find_top_level_eq(part: &str) -> Option<usize> {
+            let bytes = part.as_bytes();
+            let mut template_depth = 0usize;
+            let mut link_depth = 0usize;
+            let mut i = 0usize;
+            while i < bytes.len() {
+                match bytes[i] {
+                    b'{' if i + 1 < bytes.len() && bytes[i + 1] == b'{' => {
+                        template_depth += 1;
+                        i += 2;
+                    }
+                    b'}' if i + 1 < bytes.len() && bytes[i + 1] == b'}' => {
+                        template_depth = template_depth.saturating_sub(1);
+                        i += 2;
+                    }
+                    b'[' if i + 1 < bytes.len() && bytes[i + 1] == b'[' => {
+                        link_depth += 1;
+                        i += 2;
+                    }
+                    b']' if i + 1 < bytes.len() && bytes[i + 1] == b']' => {
+                        link_depth = link_depth.saturating_sub(1);
+                        i += 2;
+                    }
+                    b'=' if template_depth == 0 && link_depth == 0 => return Some(i),
+                    _ => i += 1,
+                }
+            }
+            None
+        }
+
+        fn normalize_ws(s: &str) -> String {
+            s.split_whitespace().collect::<Vec<_>>().join(" ")
         }
     }
 }

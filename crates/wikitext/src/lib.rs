@@ -10,13 +10,15 @@
 //! format of `dumps.wikimedia.org`) and it produces the
 //! [`wikistale_wikicube::ChangeCube`] the predictors train on.
 //!
-//! * [`infobox`] — parse `{{Infobox …}}` templates out of wikitext
-//!   (balanced-brace aware) and render them back,
+//! * [`infobox`] — parse `{{Infobox …}}` templates out of wikitext as
+//!   slices of it (balanced-brace aware, linear also on unbalanced
+//!   braces) and render them back,
 //! * [`xml`] — a minimal, dependency-free reader/writer for the
 //!   `<mediawiki><page><revision>` export schema; its one page parser
 //!   serves batch parsing and both stream modes,
 //! * [`diff`] — snapshot differencing: consecutive revisions of a page
-//!   become create/update/delete changes per infobox field,
+//!   become create/update/delete changes per infobox field, matched by
+//!   property id without copying keys or values,
 //! * [`stream`] / [`quarantine`] — incremental dump reading with an
 //!   optional recovery mode that quarantines malformed pages under a
 //!   configurable error budget instead of aborting.

@@ -67,6 +67,18 @@ run cargo test -q --offline -p wikistale-bench --test props filter
 run cargo test -q --offline -p wikistale-wikitext
 run cargo test -q --offline -p wikistale-bench --test roundtrip
 
+# Revision-diff gates: the borrowed differ against the string-based
+# reference it replaced (random page histories with duplicate keys,
+# whitespace and template spelling variants, several boxes of one
+# template, removed and re-added boxes and parameters, comments and
+# same-day revisions; identical `binio` bytes), and the template scanner
+# against the reference scanner on brace-heavy text, including the O(1)
+# rejection of unclosed `{{` and 1 MB of unclosed templates in linear
+# time.
+run cargo test -q --offline -p wikistale-wikitext diff::tests
+run cargo test -q --offline -p wikistale-wikitext -- \
+    brace unclosed_templates_extract_in_linear_time
+
 # Serving gates: the query server's unit suite (admission, cache,
 # deadline, byte-determinism) plus the end-to-end suite that drives the
 # real binary over loopback TCP.
