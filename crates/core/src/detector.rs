@@ -152,7 +152,7 @@ impl StalenessDetector {
             &self.data(),
             &self.trained,
             self.seasonal.as_ref(),
-            None,
+            0..self.index.num_fields(),
             window,
         )
     }

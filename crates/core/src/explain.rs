@@ -137,11 +137,14 @@ pub fn explain(
         }
     }
 
-    // Association-rule reasons: rules whose RHS is this property and whose
-    // LHS changed on this entity inside the window.
+    // Association-rule reasons: rules of this template (a contiguous run of
+    // the sorted rules) whose RHS is this property and whose LHS changed on
+    // this entity inside the window.
     let template = data.cube.template_of(field.entity);
-    for rule in assoc.rules() {
-        if rule.template != template || rule.rhs != field.property {
+    let rules = assoc.rules();
+    let first = rules.partition_point(|r| r.template < template);
+    for rule in rules[first..].iter().take_while(|r| r.template == template) {
+        if rule.rhs != field.property {
             continue;
         }
         let trigger = FieldId::new(field.entity, rule.lhs);

@@ -391,6 +391,17 @@ mod tests {
         assert!(Arc::ptr_eq(filtered.dimensions(), cube.dimensions()));
     }
 
+    /// A paper-filtered cube holds only updates, so its update-only index
+    /// borrows the cube's day-list store instead of building a copy.
+    #[test]
+    fn paper_filtered_index_shares_the_cube_day_lists() {
+        let cube = generate(&SynthConfig::tiny()).cube;
+        let (filtered, _) = FilterPipeline::paper().apply(&cube);
+        let index = wikistale_wikicube::CubeIndex::build(&filtered);
+        assert!(index.num_fields() > 0);
+        assert!(Arc::ptr_eq(index.day_lists(), filtered.day_lists()));
+    }
+
     /// Every way the workspace builds a cube leaves it canonical: sorted
     /// by `(day, entity, property)` with no two adjacent rows sharing that
     /// key. This is why the pipeline has no same-day stage.

@@ -110,7 +110,7 @@ impl SeasonalPredictor {
     }
 
     /// Whether `days` supports a seasonal prediction for `window`.
-    fn recurs(&self, days: &[Date], window: DateRange) -> bool {
+    pub(crate) fn recurs(&self, days: &[Date], window: DateRange) -> bool {
         let Some((hits, observable)) = self.recurrence(days, window) else {
             return false;
         };

@@ -11,6 +11,11 @@
 //! [`PredictionSet`]s. Served scores are therefore byte-identical to
 //! batch `predict` output by construction: there is no second
 //! implementation to drift.
+//!
+//! A staleness banner ([`Scorer::page_flags`], `StalenessDetector::flag`)
+//! is decided per field by [`explain()`], so a page's banner reads only
+//! that page's fields; a reference test pins it to the batch OR-ensemble
+//! sets.
 
 use crate::ensemble::{and_ensemble, or_ensemble};
 use crate::experiment::TrainedPredictors;
@@ -250,61 +255,51 @@ impl<'a> Scorer<'a> {
         })
     }
 
-    /// Flag potentially stale fields of one page for `window`: fields
-    /// the OR ensemble expects to change inside the window that did not
-    /// visibly change there, each with its provenance from
-    /// [`crate::explain`]. Same semantics as
-    /// [`crate::detector::StalenessDetector::flag`], restricted to one
-    /// page.
+    /// Flag potentially stale fields of one page for `window`, each with
+    /// its provenance from [`explain()`]. Only the page's own fields are
+    /// read, so this costs O(page), not O(corpus). Same semantics as
+    /// [`crate::detector::StalenessDetector::flag`] without its seasonal
+    /// extension, restricted to one page.
     pub fn page_flags(&self, page: PageId, window: DateRange) -> Vec<Explanation> {
-        stale_flags(&self.data, self.predictors, None, Some(page), window)
+        let fields = self.data.index.fields_on_page(page);
+        let fields = fields.iter().map(|&pos| pos as usize);
+        stale_flags(&self.data, self.predictors, None, fields, window)
     }
 }
 
-/// The one banner decision behind [`Scorer::page_flags`] and
-/// [`crate::detector::StalenessDetector::flag`]: the OR-ensemble positives
-/// for `window` (plus `seasonal`'s, when given) that did not visibly change
-/// inside it and have at least one reason. With `page`, only that page's
-/// fields are walked; without, every positive is.
+/// The one banner decision, made per field over the index positions
+/// `fields`: a field that did not visibly change inside `window` is
+/// flagged when [`explain()`] finds a partner or rule reason (exactly the
+/// OR ensemble's positives) or `seasonal` expects an annual recurrence.
 pub(crate) fn stale_flags(
     data: &EvalData<'_>,
     predictors: &TrainedPredictors,
     seasonal: Option<&SeasonalPredictor>,
-    page: Option<PageId>,
+    fields: impl IntoIterator<Item = usize>,
     window: DateRange,
 ) -> Vec<Explanation> {
-    let granularity = window.len_days().max(1);
-    let fc = predictors.field_corr.predict(data, window, granularity);
-    let ar = predictors.assoc.predict(data, window, granularity);
-    let mut positives = or_ensemble(&fc, &ar);
-    if let Some(seasonal) = seasonal {
-        positives = or_ensemble(&positives, &seasonal.predict(data, window, granularity));
-    }
-
-    let index = data.index;
-    let flag = |pos: u32| {
-        let pos = pos as usize;
-        // A field the reader already sees freshly updated needs no
-        // banner (in the §5 protocol those are the true positives).
-        if index.changed_in(pos, window.start(), window.end()) {
+    let (index, fc, ar) = (data.index, &predictors.field_corr, &predictors.assoc);
+    let mut scratch = Vec::new();
+    let flag = |pos: usize| {
+        // An empty window holds no prediction, and a field the reader
+        // already sees freshly updated needs no banner (in the §5
+        // protocol those are the true positives).
+        if window.is_empty() || index.changed_in(pos, window.start(), window.end()) {
             return None;
         }
         let field = index.field(pos);
-        let mut explanation = explain(
-            data,
-            &predictors.field_corr,
-            &predictors.assoc,
-            field,
-            window,
-        )
-        .unwrap_or(Explanation {
-            field,
-            window,
-            reasons: Vec::new(),
-        });
+        let mut explanation = explain(data, fc, ar, field, window);
         if let Some(seasonal) = seasonal {
-            let days = index.days(pos).to_vec();
-            if let Some((hits, observable)) = seasonal.recurrence(&days, window) {
+            let days = index.days(pos).decode_into(&mut scratch);
+            if explanation.is_none() && !seasonal.recurs(days, window) {
+                return None;
+            }
+            let explanation = explanation.get_or_insert(Explanation {
+                field,
+                window,
+                reasons: Vec::new(),
+            });
+            if let Some((hits, observable)) = seasonal.recurrence(days, window) {
                 // Only attach when it actually carries signal.
                 if observable >= seasonal.params.min_years && hits > 0 {
                     explanation
@@ -313,22 +308,9 @@ pub(crate) fn stale_flags(
                 }
             }
         }
-        (!explanation.reasons.is_empty()).then_some(explanation)
+        explanation
     };
-    match page {
-        Some(page) => index
-            .fields_on_page(page)
-            .iter()
-            .copied()
-            .filter(|&pos| positives.contains(pos, 0))
-            .filter_map(flag)
-            .collect(),
-        None => positives
-            .items()
-            .iter()
-            .filter_map(|&(pos, _)| flag(pos))
-            .collect(),
-    }
+    fields.into_iter().filter_map(flag).collect()
 }
 
 #[cfg(test)]
@@ -336,6 +318,7 @@ mod tests {
     use super::*;
     use crate::experiment::{evaluate_granularity, ExperimentConfig};
     use crate::filters::FilterPipeline;
+    use crate::predictors::SeasonalParams;
     use crate::split::EvalSplit;
     use wikistale_synth::{generate, SynthConfig};
     use wikistale_wikicube::{ChangeCube, CubeIndex};
@@ -443,7 +426,7 @@ mod tests {
         for week in 0..52 {
             let start = split.test.start() + week * 7;
             let window = DateRange::with_len(start, 7);
-            let whole = stale_flags(&data, &predictors, None, None, window);
+            let whole = stale_flags(&data, &predictors, None, 0..index.num_fields(), window);
             for page in 0..filtered.num_pages() {
                 let page = wikistale_wikicube::PageId(page as u32);
                 let flags = scorer.page_flags(page, window);
@@ -462,5 +445,145 @@ mod tests {
             }
         }
         assert!(total > 0, "no page flags across the test year");
+    }
+
+    /// The banner decision before it was made per field: the whole-cube
+    /// OR-ensemble positives for `window` (plus `seasonal`'s), each
+    /// explained, restricted to `page` when given. Kept as the reference
+    /// [`stale_flags`] must reproduce.
+    fn reference_stale_flags(
+        data: &EvalData<'_>,
+        predictors: &TrainedPredictors,
+        seasonal: Option<&SeasonalPredictor>,
+        page: Option<PageId>,
+        window: DateRange,
+    ) -> Vec<Explanation> {
+        let granularity = window.len_days().max(1);
+        let fc = predictors.field_corr.predict(data, window, granularity);
+        let ar = predictors.assoc.predict(data, window, granularity);
+        let mut positives = or_ensemble(&fc, &ar);
+        if let Some(seasonal) = seasonal {
+            positives = or_ensemble(&positives, &seasonal.predict(data, window, granularity));
+        }
+
+        let index = data.index;
+        let flag = |pos: u32| {
+            let pos = pos as usize;
+            if index.changed_in(pos, window.start(), window.end()) {
+                return None;
+            }
+            let field = index.field(pos);
+            let mut explanation = explain(
+                data,
+                &predictors.field_corr,
+                &predictors.assoc,
+                field,
+                window,
+            )
+            .unwrap_or(Explanation {
+                field,
+                window,
+                reasons: Vec::new(),
+            });
+            if let Some(seasonal) = seasonal {
+                let days = index.days(pos).to_vec();
+                if let Some((hits, observable)) = seasonal.recurrence(&days, window) {
+                    if observable >= seasonal.params.min_years && hits > 0 {
+                        explanation
+                            .reasons
+                            .push(Reason::AnnualRecurrence { hits, observable });
+                    }
+                }
+            }
+            (!explanation.reasons.is_empty()).then_some(explanation)
+        };
+        match page {
+            Some(page) => index
+                .fields_on_page(page)
+                .iter()
+                .copied()
+                .filter(|&pos| positives.contains(pos, 0))
+                .filter_map(flag)
+                .collect(),
+            None => positives
+                .items()
+                .iter()
+                .filter_map(|&(pos, _)| flag(pos))
+                .collect(),
+        }
+    }
+
+    /// Assert that the per-field [`stale_flags`] equals the whole-cube
+    /// reference on the paper-filtered `config` corpus, for every
+    /// `window_stride`-th tumbling window of 1, 7, 30 and 365 days in the
+    /// test year, with the seasonal predictor off and at its defaults.
+    /// Every page is checked against the whole-cube reference restricted
+    /// to it, and every `page_stride`-th page against the per-page
+    /// reference call.
+    fn assert_banners_match_reference(
+        config: &SynthConfig,
+        window_stride: usize,
+        page_stride: usize,
+    ) {
+        let corpus = generate(config);
+        let (filtered, _) = FilterPipeline::paper().apply(&corpus.cube);
+        let split = EvalSplit::for_span(filtered.time_span().unwrap()).unwrap();
+        let index = CubeIndex::build(&filtered);
+        let data = EvalData::new(&filtered, &index);
+        let predictors = TrainedPredictors::train(
+            &data,
+            split.train_and_validation(),
+            &ExperimentConfig::default(),
+        );
+        let seasonal = SeasonalPredictor::new(SeasonalParams::default());
+        let mut flagged = [0usize; 2];
+        for len in [1, 7, 30, 365] {
+            let windows = (0..split.test.len_days() / len)
+                .map(|w| DateRange::with_len(split.test.start() + (w * len) as i32, len));
+            for window in windows.step_by(window_stride) {
+                for (s, seasonal) in [None, Some(&seasonal)].into_iter().enumerate() {
+                    let whole =
+                        stale_flags(&data, &predictors, seasonal, 0..index.num_fields(), window);
+                    let reference =
+                        reference_stale_flags(&data, &predictors, seasonal, None, window);
+                    assert_eq!(whole, reference, "whole cube, {window:?}, seasonal {s}");
+                    flagged[s] += whole.len();
+                    for p in 0..filtered.num_pages() {
+                        let page = PageId(p as u32);
+                        let fields = index.fields_on_page(page).iter().map(|&pos| pos as usize);
+                        let flags = stale_flags(&data, &predictors, seasonal, fields, window);
+                        let restricted: Vec<&Explanation> = reference
+                            .iter()
+                            .filter(|flag| filtered.page_of(flag.field.entity) == page)
+                            .collect();
+                        assert_eq!(flags.iter().collect::<Vec<_>>(), restricted);
+                        if p % page_stride == 0 {
+                            let paged = reference_stale_flags(
+                                &data,
+                                &predictors,
+                                seasonal,
+                                Some(page),
+                                window,
+                            );
+                            assert_eq!(flags, paged, "page {p}, {window:?}, seasonal {s}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            flagged.iter().all(|&n| n > 0),
+            "too few banners to compare: {flagged:?}"
+        );
+    }
+
+    #[test]
+    fn banners_match_the_whole_cube_reference_on_synth_tiny() {
+        assert_banners_match_reference(&SynthConfig::tiny(), 1, 16);
+    }
+
+    #[test]
+    fn banners_match_the_whole_cube_reference_on_synth_small() {
+        assert_banners_match_reference(&SynthConfig::small(), 11, 1999);
     }
 }

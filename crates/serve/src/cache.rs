@@ -10,9 +10,9 @@
 //! Sharding (FNV-1a of the key picks one of [`SHARDS`] independent
 //! `Mutex<Shard>`s) keeps pool workers from serializing on one lock.
 //! Each shard runs true LRU on its own slice of the capacity: hits
-//! re-queue the key, inserts evict the shard's least-recent entry once
-//! the shard is full. Hits and misses are counted under
-//! `serve/cache/hit` and `serve/cache/miss`.
+//! re-queue the key under a fresh per-shard stamp, inserts evict the
+//! shard's least-recent entry once the shard is full. Hits and misses
+//! are counted under `serve/cache/hit` and `serve/cache/miss`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -23,11 +23,29 @@ pub const SHARDS: usize = 8;
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<String, Arc<Vec<u8>>>,
-    // Most-recent at the back. May hold stale duplicates for re-queued
-    // keys; `map` membership is authoritative and eviction skips keys
-    // whose queue entry is outdated.
-    order: VecDeque<String>,
+    /// Key → (stamp of its newest queue entry, body).
+    map: HashMap<String, (u64, Arc<Vec<u8>>)>,
+    // Most-recent at the back. May hold outdated entries for re-queued
+    // keys; only the entry whose stamp matches the map's is live, so
+    // eviction skips the rest in O(1).
+    order: VecDeque<(u64, String)>,
+    /// The next recency stamp; increases on every hit and insert.
+    next_stamp: u64,
+}
+
+impl Shard {
+    /// Queue `key` as most recent and return its fresh stamp.
+    fn touch(&mut self, key: &str) -> u64 {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.order.push_back((stamp, key.to_string()));
+        stamp
+    }
+
+    /// Whether the queue entry `(stamp, key)` is the key's newest.
+    fn is_live(&self, stamp: u64, key: &str) -> bool {
+        self.map.get(key).is_some_and(|&(s, _)| s == stamp)
+    }
 }
 
 /// A sharded, bounded LRU mapping request keys to rendered response
@@ -69,9 +87,12 @@ impl ResponseCache {
             .shard_of(key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        match shard.map.get(key).cloned() {
+        match shard.map.get(key).map(|(_, body)| Arc::clone(body)) {
             Some(body) => {
-                shard.order.push_back(key.to_string());
+                let stamp = shard.touch(key);
+                if let Some(entry) = shard.map.get_mut(key) {
+                    entry.0 = stamp;
+                }
                 compact_if_bloated(&mut shard, self.per_shard_capacity);
                 metrics.counter("serve/cache/hit").incr();
                 Some(body)
@@ -93,15 +114,15 @@ impl ResponseCache {
             .shard_of(key)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        shard.map.insert(key.to_string(), body);
-        shard.order.push_back(key.to_string());
+        let stamp = shard.touch(key);
+        shard.map.insert(key.to_string(), (stamp, body));
         while shard.map.len() > self.per_shard_capacity {
-            let Some(candidate) = shard.order.pop_front() else {
+            let Some((stamp, candidate)) = shard.order.pop_front() else {
                 break;
             };
             // A key re-queued since this entry was pushed is still
             // recent — only evict when this is its newest queue entry.
-            if shard.order.iter().any(|k| k == &candidate) {
+            if !shard.is_live(stamp, &candidate) {
                 continue;
             }
             shard.map.remove(&candidate);
@@ -138,20 +159,15 @@ impl ResponseCache {
 
 /// Hits re-queue keys without removing the old queue entry, so the
 /// queue can outgrow the map under a hit-heavy workload. Once it passes
-/// a small multiple of the capacity, rebuild it with one entry per live
-/// key (newest wins) — amortized O(1) per operation.
+/// a small multiple of the capacity, keep only the live entries (one per
+/// cached key) — amortized O(1) per operation.
 fn compact_if_bloated(shard: &mut Shard, capacity: usize) {
     if shard.order.len() <= capacity.saturating_mul(8).max(64) {
         return;
     }
-    let mut seen = std::collections::HashSet::with_capacity(shard.map.len());
-    let mut kept = VecDeque::with_capacity(shard.map.len());
-    for key in std::mem::take(&mut shard.order).into_iter().rev() {
-        if shard.map.contains_key(&key) && seen.insert(key.clone()) {
-            kept.push_front(key);
-        }
-    }
-    shard.order = kept;
+    let mut order = std::mem::take(&mut shard.order);
+    order.retain(|(stamp, key)| shard.is_live(*stamp, key));
+    shard.order = order;
 }
 
 #[cfg(test)]

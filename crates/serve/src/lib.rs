@@ -8,7 +8,7 @@
 //! * `GET /metrics` — the live [`wikistale_obs`] registry (JSON or table).
 //! * `GET /v1/stale/{page}?at=YYYY-MM-DD&window=N` — fields on a page
 //!   flagged as possibly stale in the window ending at `at`, each with
-//!   its provenance from [`wikistale_core::explain`].
+//!   its provenance from [`wikistale_core::explain()`].
 //! * `POST /v1/score` — batch `(entity, property, window)` triples
 //!   through the trained predictors and OR/AND ensembles.
 //!

@@ -24,7 +24,7 @@
 //! a field's first run, `previous run end + 1` afterwards — and `len` is
 //! the number of consecutive days. Runs longer than 256 days continue
 //! with `gap = 0` words; a gap too large for 24 bits (≈ 46 000 years)
-//! escapes to the sentinel [`ESCAPE`] followed by raw `gap` and `len`
+//! escapes to the sentinel `ESCAPE` (`0xFFFF_FFFF`) followed by raw `gap` and `len`
 //! words. One day therefore costs at most one word (4 bytes, same as the
 //! old `Vec<Date>` element) and a K-day consecutive run costs 4/K bytes
 //! per day, with no per-field vector header either way.

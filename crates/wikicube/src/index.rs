@@ -8,10 +8,11 @@
 //! * **template → entities / properties** (transaction building of §3.3).
 //!
 //! The field → days view is the shared delta-encoded [`DayListStore`]:
-//! when the index covers every change kind it borrows the cube's own
-//! canonical store by `Arc` instead of re-deriving it, and the
-//! kind-filtered view the predictors use is derived once here. Page and
-//! template views are materialized in compressed-sparse-row layout.
+//! when the index's kinds cover every change the cube holds (all kinds,
+//! or updates on a paper-filtered cube) it borrows the cube's own
+//! canonical store by `Arc` instead of re-deriving it; otherwise the
+//! kind-filtered view is derived once here. Page and template views are
+//! materialized in compressed-sparse-row layout.
 //! Fields get a dense index (`usize` position in [`CubeIndex::fields`])
 //! so downstream code can use plain vectors keyed by field position.
 
@@ -28,9 +29,9 @@ use std::sync::Arc;
 /// was built from and must be rebuilt after filtering.
 #[derive(Debug, Clone)]
 pub struct CubeIndex {
-    /// Per-field day lists, shared with the cube when the index covers
-    /// all change kinds. Also owns the sorted `fields` vector and the
-    /// field → position map.
+    /// Per-field day lists, shared with the cube when the index's kinds
+    /// cover every change the cube holds. Also owns the sorted `fields`
+    /// vector and the field → position map.
     store: Arc<DayListStore>,
     /// CSR page → field positions.
     page_offsets: Vec<u32>,
@@ -48,12 +49,12 @@ impl CubeIndex {
     /// (most callers want updates only — pass
     /// `&[ChangeKind::Update]` — but the dataset statistics want all).
     pub fn build_for_kinds(cube: &ChangeCube, kinds: &[ChangeKind]) -> CubeIndex {
-        let all_kinds = [ChangeKind::Create, ChangeKind::Update, ChangeKind::Delete]
-            .iter()
-            .all(|k| kinds.contains(k));
-        let store = if all_kinds {
-            // The cube's canonical day lists are exactly this view; share
-            // the encoded store instead of rebuilding it.
+        let covers_cube = cube.columns().kinds().iter().all(|k| kinds.contains(k));
+        let store = if covers_cube {
+            // Every change of the cube passes the kind filter, so the
+            // cube's canonical day lists are exactly this view (always so
+            // for a paper-filtered, update-only cube); share the encoded
+            // store instead of rebuilding it.
             Arc::clone(cube.day_lists())
         } else {
             store_for_kinds(cube, kinds)

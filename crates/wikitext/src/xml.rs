@@ -10,7 +10,7 @@
 //!
 //! Page elements are cut from the input by the byte scanner in
 //! [`crate::stream`]; [`parse_export`] is a strict [`PageStream`] over the
-//! string. This module parses one page body at a time ([`parse_page`])
+//! string. This module parses one page body at a time (`parse_page`)
 //! with allocation-free tag searches that skip from one `<` to the next.
 
 use crate::stream::{PageStream, StreamError};

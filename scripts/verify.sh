@@ -17,6 +17,8 @@ run cargo build --release --offline
 run cargo test -q --offline
 run cargo fmt --all --check
 run cargo clippy --all-targets --offline -- -D warnings
+# Doc gate: broken, ambiguous or private intra-doc links fail the build.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Robustness gates. These suites are part of the workspace test run above;
 # invoking them by name makes a chaos/corruption/determinism regression
@@ -78,6 +80,12 @@ run cargo test -q --offline -p wikistale-bench --test roundtrip
 run cargo test -q --offline -p wikistale-wikitext diff::tests
 run cargo test -q --offline -p wikistale-wikitext -- \
     brace unclosed_templates_extract_in_linear_time
+
+# Banner gate: the per-field staleness banner (`scoring::stale_flags`)
+# against the whole-cube OR-ensemble reference it replaced, on synth tiny
+# and small at 1/7/30/365-day windows, seasonal off and on, for the whole
+# cube and per page.
+run cargo test -q --offline -p wikistale-core banners_match
 
 # Serving gates: the query server's unit suite (admission, cache,
 # deadline, byte-determinism) plus the end-to-end suite that drives the
