@@ -1,17 +1,19 @@
 //! # wikistale-apriori
 //!
-//! Frequent-itemset mining with the Apriori algorithm (Agrawal & Srikant,
-//! VLDB 1994) and association-rule generation, as used by the
-//! association-rule staleness predictor of Barth et al. (EDBT 2023, §3.3).
+//! Unary association-rule mining `a ⇒ b` for the association-rule
+//! staleness predictor of Barth et al. (EDBT 2023, §3.3), with the
+//! support and confidence thresholds of Apriori (Agrawal & Srikant,
+//! VLDB 1994).
 //!
-//! The crate is deliberately generic: items are dense `u32` ids and
-//! transactions are sets of items, so it is reusable outside the Wikipedia
-//! setting. The paper's predictor mines *unary* rules (one item on each
-//! side), but the miner here is complete up to a configurable itemset size
-//! and the rule generator enumerates every antecedent/consequent split.
+//! The paper mines only rules with one item on each side, so the miner
+//! needs nothing beyond pairs: one pass counts every item and every item
+//! pair, and support and confidence follow from those counts. Items are
+//! dense `u32` ids and transactions are sets of items; memory is
+//! quadratic in the number of distinct items, so callers pass small,
+//! dense (for example template-local) ids.
 //!
-//! A deliberately naive exponential reference implementation lives in
-//! [`naive`]; property tests assert the optimized miner agrees with it on
+//! A brute-force reference (`naive`, test builds only) counts every pair
+//! by subset tests; property tests assert the miner agrees with it on
 //! random inputs.
 //!
 //! ## Example
@@ -29,34 +31,32 @@
 //! let rules = mine(&ts, &AprioriParams {
 //!     min_support: Support::Fraction(0.2),
 //!     min_confidence: 0.6,
-//!     max_itemset_size: 2,
 //! });
 //! // 0 ⇒ 1 holds with confidence 8/9; 1 ⇒ 0 with confidence 1.
-//! assert!(rules.iter().any(|r| r.antecedent == [0] && r.consequent == [1]));
-//! assert!(rules.iter().any(|r| r.antecedent == [1] && r.consequent == [0]));
+//! assert!(rules.iter().any(|r| r.antecedent == 0 && r.consequent == 1));
+//! assert!(rules.iter().any(|r| r.antecedent == 1 && r.consequent == 0));
 //! ```
 
 pub mod miner;
-pub mod naive;
+#[cfg(test)]
+mod naive;
 pub mod rules;
 pub mod transactions;
 
-pub use miner::{frequent_itemsets, FrequentItemset, Support};
-pub use rules::{association_rules, mine, AssociationRule};
+pub use miner::Support;
+pub use rules::{mine, AssociationRule};
 pub use transactions::{TransactionSet, TransactionSetBuilder};
 
 /// Mining parameters.
 ///
-/// The paper's configuration (§5.2) is `min_support = Fraction(0.0025)`,
-/// `min_confidence = 0.6`, `max_itemset_size = 2` (unary rules).
+/// The paper's configuration (§5.2) is `min_support = Fraction(0.0025)`
+/// and `min_confidence = 0.6`; rules are always unary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AprioriParams {
-    /// Minimum support for an itemset to be considered frequent.
+    /// Minimum support for an item pair to be considered frequent.
     pub min_support: Support,
     /// Minimum confidence for a rule to be emitted.
     pub min_confidence: f64,
-    /// Largest itemset size explored (≥ 2 for any rule to exist).
-    pub max_itemset_size: usize,
 }
 
 impl Default for AprioriParams {
@@ -65,7 +65,6 @@ impl Default for AprioriParams {
         AprioriParams {
             min_support: Support::Fraction(0.0025),
             min_confidence: 0.6,
-            max_itemset_size: 2,
         }
     }
 }

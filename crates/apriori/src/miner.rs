@@ -1,7 +1,6 @@
-//! Level-wise Apriori frequent-itemset mining.
+//! Item and pair occurrence counting.
 
 use crate::transactions::TransactionSet;
-use std::collections::HashMap;
 
 /// A minimum-support threshold, either relative or absolute.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,222 +28,53 @@ impl Support {
     }
 }
 
-/// A frequent itemset with its absolute support count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrequentItemset {
-    /// Sorted item ids.
-    pub items: Vec<u32>,
-    /// Number of transactions containing every item.
-    pub count: u64,
-}
-
-/// Mine all frequent itemsets of size 1 to `max_len`.
-///
-/// The classic level-wise algorithm: frequent 1-itemsets from a counting
-/// pass, then repeatedly (a) join `L_{k-1}` with itself on a shared
-/// (k−2)-prefix, (b) prune candidates with an infrequent (k−1)-subset, and
-/// (c) count candidate support in one pass over the transactions.
-/// Results are sorted lexicographically by item list.
-pub fn frequent_itemsets(
-    ts: &TransactionSet,
-    min_support: Support,
-    max_len: usize,
-) -> Vec<FrequentItemset> {
-    let obs = wikistale_obs::MetricsRegistry::global();
-    let _span = obs.span("apriori_mine");
-    let min_count = min_support.to_count(ts.len());
-    let mut result: Vec<FrequentItemset> = Vec::new();
-    if max_len == 0 || ts.is_empty() {
-        return result;
-    }
-
-    // Level 1: direct counting, sharded over transaction chunks. Chunk
-    // counts are merged by element-wise u64 addition — exactly
-    // associative and commutative, so the totals are independent of
-    // chunking and scheduling.
-    let universe = ts.max_item().map_or(0, |m| m as usize + 1);
-    let chunk_counts =
-        wikistale_exec::par_ranges("apriori_items", ts.len(), COUNT_CHUNK, |range| {
-            let mut counts = vec![0u64; universe];
-            for i in range {
-                for &item in ts.transaction(i) {
-                    counts[item as usize] += 1;
-                }
-            }
-            counts
-        });
-    let mut item_counts = vec![0u64; universe];
-    for counts in chunk_counts {
-        for (total, partial) in item_counts.iter_mut().zip(counts) {
-            *total += partial;
-        }
-    }
-    let mut level: Vec<FrequentItemset> = item_counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c >= min_count)
-        .map(|(i, &c)| FrequentItemset {
-            items: vec![i as u32],
-            count: c,
-        })
-        .collect();
-
-    let mut k = 1;
-    while !level.is_empty() {
-        result.extend(level.iter().cloned());
-        k += 1;
-        if k > max_len {
-            break;
-        }
-        let candidates = generate_candidates(&level);
-        obs.counter("apriori/candidates")
-            .add(candidates.len() as u64);
-        if candidates.is_empty() {
-            break;
-        }
-        level = count_candidates(ts, candidates, k, min_count);
-    }
-    result.sort_by(|a, b| a.items.cmp(&b.items));
-    obs.counter("apriori/frequent_itemsets")
-        .add(result.len() as u64);
-    result
-}
-
-/// Join step + prune step: candidates of size k from frequent (k−1)-sets.
-fn generate_candidates(level: &[FrequentItemset]) -> Vec<Vec<u32>> {
-    // `level` items are sorted lists; sort the level lexicographically so
-    // sets sharing a (k−2)-prefix are adjacent.
-    let mut prev: Vec<&[u32]> = level.iter().map(|f| f.items.as_slice()).collect();
-    prev.sort_unstable();
-    let prev_set: std::collections::HashSet<&[u32]> = prev.iter().copied().collect();
-    let k_minus_1 = prev.first().map_or(0, |s| s.len());
-
-    let mut candidates = Vec::new();
-    for i in 0..prev.len() {
-        for j in (i + 1)..prev.len() {
-            let (a, b) = (prev[i], prev[j]);
-            if a[..k_minus_1 - 1] != b[..k_minus_1 - 1] {
-                break; // sorted ⇒ no later j shares the prefix either
-            }
-            let mut candidate = a.to_vec();
-            candidate.push(b[k_minus_1 - 1]);
-            // Prune: every (k−1)-subset must be frequent. Subsets obtained
-            // by dropping the last two positions equal `a` and the join
-            // partner; check the rest.
-            let frequent = (0..candidate.len() - 2).all(|drop| {
-                let mut sub = candidate.clone();
-                sub.remove(drop);
-                prev_set.contains(sub.as_slice())
-            });
-            if frequent {
-                candidates.push(candidate);
-            }
-        }
-    }
-    candidates
+/// Position of the item pair `{a, b}` (`a ≤ b`) in the lower triangle,
+/// diagonal included, of the co-occurrence matrix that [`count_pairs`]
+/// returns. The diagonal cell `(a, a)` holds item `a`'s own count.
+pub(crate) fn cell(a: u32, b: u32) -> usize {
+    debug_assert!(a <= b);
+    let b = b as usize;
+    b * (b + 1) / 2 + a as usize
 }
 
 /// Transactions per counting chunk: infobox-week transactions are tiny,
-/// so chunks stay coarse enough to amortize the per-chunk count vector.
+/// so chunks stay coarse enough to amortize the per-chunk count vectors.
 const COUNT_CHUNK: usize = 2_048;
 
-/// Count candidate support sharded over transaction chunks; keep
-/// candidates with total support ≥ min_count.
+/// Count, in one pass, the transactions of `ts` that contain each item and
+/// each item pair, as a triangular matrix over the items `0..=max_item`
+/// (see [`cell`]).
 ///
-/// Each chunk accumulates into a dense `Vec<u64>` keyed by candidate
-/// index (a mergeable count map); merging is element-wise addition, so
-/// the totals cannot depend on chunk scheduling, and the per-transaction
-/// counting strategy (subset enumeration vs. candidate scan) depends only
-/// on the transaction and the candidate count — identical in every chunk.
-fn count_candidates(
-    ts: &TransactionSet,
-    candidates: Vec<Vec<u32>>,
-    k: usize,
-    min_count: u64,
-) -> Vec<FrequentItemset> {
-    let candidate_pos: HashMap<&[u32], usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.as_slice(), i))
-        .collect();
-    let chunk_counts =
-        wikistale_exec::par_ranges("apriori_support", ts.len(), COUNT_CHUNK, |range| {
-            let mut counts = vec![0u64; candidates.len()];
-            let mut subset_buf = Vec::with_capacity(k);
+/// The pass is sharded over transaction chunks. Each chunk fills its own
+/// matrix; chunks are merged by element-wise `u64` addition, which is
+/// exactly associative and commutative, so the totals do not depend on
+/// chunking or scheduling. A chunk covers at least as many transactions
+/// as the matrix has cells, so the chunk matrices together add at most
+/// 8 bytes per transaction to one matrix. Memory is quadratic in the item
+/// universe: pass dense, local item ids.
+pub(crate) fn count_pairs(ts: &TransactionSet) -> Vec<u64> {
+    let universe = ts.max_item().map_or(0, |m| m as usize + 1);
+    let cells = universe * (universe + 1) / 2;
+    let chunks =
+        wikistale_exec::par_ranges("apriori_pairs", ts.len(), COUNT_CHUNK.max(cells), |range| {
+            let mut counts = vec![0u64; cells];
             for i in range {
                 let t = ts.transaction(i);
-                if t.len() < k {
-                    continue;
-                }
-                // For small transactions enumerate k-subsets and probe
-                // the map; the binomial is tiny for infobox-week
-                // transactions. For long transactions fall back to
-                // testing each candidate.
-                if binomial(t.len(), k) <= 4 * candidates.len() as u64 {
-                    enumerate_subsets(t, k, &mut subset_buf, &mut |subset| {
-                        if let Some(&pos) = candidate_pos.get(subset) {
-                            counts[pos] += 1;
-                        }
-                    });
-                } else {
-                    for (pos, cand) in candidates.iter().enumerate() {
-                        if crate::transactions::is_subset(cand, t) {
-                            counts[pos] += 1;
-                        }
+                for (k, &b) in t.iter().enumerate() {
+                    for &a in &t[..=k] {
+                        counts[cell(a, b)] += 1;
                     }
                 }
             }
             counts
         });
-    let mut totals = vec![0u64; candidates.len()];
-    for counts in chunk_counts {
-        for (total, partial) in totals.iter_mut().zip(counts) {
-            *total += partial;
+    let mut total = vec![0u64; cells];
+    for partial in chunks {
+        for (t, p) in total.iter_mut().zip(partial) {
+            *t += p;
         }
     }
-    drop(candidate_pos);
-    let mut level: Vec<FrequentItemset> = candidates
-        .into_iter()
-        .zip(totals)
-        .filter(|&(_, count)| count >= min_count)
-        .map(|(items, count)| FrequentItemset { items, count })
-        .collect();
-    level.sort_by(|a, b| a.items.cmp(&b.items));
-    level
-}
-
-/// n choose k, saturating.
-fn binomial(n: usize, k: usize) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u64 = 1;
-    for i in 0..k {
-        acc = acc
-            .saturating_mul((n - i) as u64)
-            .checked_div((i + 1) as u64)
-            .unwrap_or(u64::MAX);
-    }
-    acc
-}
-
-/// Call `f` with every sorted k-subset of sorted `items`.
-fn enumerate_subsets(items: &[u32], k: usize, buf: &mut Vec<u32>, f: &mut impl FnMut(&[u32])) {
-    fn rec(items: &[u32], k: usize, start: usize, buf: &mut Vec<u32>, f: &mut impl FnMut(&[u32])) {
-        if buf.len() == k {
-            f(buf);
-            return;
-        }
-        let needed = k - buf.len();
-        for i in start..=items.len().saturating_sub(needed) {
-            buf.push(items[i]);
-            rec(items, k, i + 1, buf, f);
-            buf.pop();
-        }
-    }
-    buf.clear();
-    rec(items, k, 0, buf, f);
+    total
 }
 
 #[cfg(test)]
@@ -258,6 +88,11 @@ mod tests {
             b.push(r.iter().copied());
         }
         b.finish()
+    }
+
+    /// Transactions containing both `a` and `b` (just `a` when equal).
+    fn both(counts: &[u64], a: u32, b: u32) -> u64 {
+        counts[cell(a.min(b), a.max(b))]
     }
 
     #[test]
@@ -274,86 +109,45 @@ mod tests {
     #[test]
     fn textbook_example() {
         // Classic Agrawal-style basket data.
-        let ts = ts(&[&[1, 3, 4], &[2, 3, 5], &[1, 2, 3, 5], &[2, 5]]);
-        let freq = frequent_itemsets(&ts, Support::Count(2), 3);
-        let as_pairs: Vec<(Vec<u32>, u64)> =
-            freq.iter().map(|f| (f.items.clone(), f.count)).collect();
-        assert!(as_pairs.contains(&(vec![1], 2)));
-        assert!(as_pairs.contains(&(vec![2], 3)));
-        assert!(as_pairs.contains(&(vec![3], 3)));
-        assert!(as_pairs.contains(&(vec![5], 3)));
-        assert!(as_pairs.contains(&(vec![1, 3], 2)));
-        assert!(as_pairs.contains(&(vec![2, 3], 2)));
-        assert!(as_pairs.contains(&(vec![2, 5], 3)));
-        assert!(as_pairs.contains(&(vec![3, 5], 2)));
-        assert!(as_pairs.contains(&(vec![2, 3, 5], 2)));
-        // Item 4 appears once → not frequent; no itemset contains it.
-        assert!(freq.iter().all(|f| !f.items.contains(&4)));
-        assert_eq!(freq.len(), 9);
-    }
-
-    #[test]
-    fn max_len_caps_exploration() {
-        let ts = ts(&[&[1, 2, 3], &[1, 2, 3], &[1, 2, 3]]);
-        let freq = frequent_itemsets(&ts, Support::Count(2), 2);
-        assert!(freq.iter().all(|f| f.items.len() <= 2));
-        assert_eq!(freq.len(), 3 + 3); // singletons + pairs
-        let deeper = frequent_itemsets(&ts, Support::Count(2), 3);
-        assert_eq!(deeper.len(), 7);
-        assert_eq!(frequent_itemsets(&ts, Support::Count(2), 0).len(), 0);
+        let counts = count_pairs(&ts(&[&[1, 3, 4], &[2, 3, 5], &[1, 2, 3, 5], &[2, 5]]));
+        assert_eq!(counts.len(), 21);
+        let items: Vec<u64> = (0..6).map(|i| both(&counts, i, i)).collect();
+        assert_eq!(items, vec![0, 2, 3, 3, 1, 3]);
+        assert_eq!(both(&counts, 1, 3), 2);
+        assert_eq!(both(&counts, 2, 3), 2);
+        assert_eq!(both(&counts, 5, 2), 3);
+        assert_eq!(both(&counts, 3, 5), 2);
+        assert_eq!(both(&counts, 1, 4), 1);
+        assert_eq!(both(&counts, 1, 2), 1);
+        assert_eq!(both(&counts, 4, 5), 0);
     }
 
     #[test]
     fn empty_inputs() {
-        let empty = TransactionSet::builder().finish();
-        assert!(frequent_itemsets(&empty, Support::Count(1), 3).is_empty());
-        let ts = ts(&[&[], &[]]);
-        assert!(frequent_itemsets(&ts, Support::Count(1), 3).is_empty());
+        assert!(count_pairs(&TransactionSet::builder().finish()).is_empty());
+        assert!(count_pairs(&ts(&[&[], &[]])).is_empty());
+        assert_eq!(count_pairs(&ts(&[&[0], &[0]])), vec![2]);
     }
 
     #[test]
     fn counts_are_exact() {
-        let ts = ts(&[&[0, 1], &[0, 1], &[0], &[1], &[0, 1, 2]]);
-        let freq = frequent_itemsets(&ts, Support::Count(1), 2);
-        let lookup = |items: &[u32]| {
-            freq.iter()
-                .find(|f| f.items == items)
-                .map(|f| f.count)
-                .unwrap_or(0)
-        };
-        assert_eq!(lookup(&[0]), 4);
-        assert_eq!(lookup(&[1]), 4);
-        assert_eq!(lookup(&[2]), 1);
-        assert_eq!(lookup(&[0, 1]), 3);
-        assert_eq!(lookup(&[0, 2]), 1);
-        assert_eq!(lookup(&[1, 2]), 1);
+        let counts = count_pairs(&ts(&[&[0, 1], &[0, 1], &[0], &[1], &[0, 1, 2]]));
+        assert_eq!(both(&counts, 0, 0), 4);
+        assert_eq!(both(&counts, 1, 1), 4);
+        assert_eq!(both(&counts, 2, 2), 1);
+        assert_eq!(both(&counts, 0, 1), 3);
+        assert_eq!(both(&counts, 0, 2), 1);
+        assert_eq!(both(&counts, 1, 2), 1);
     }
 
     #[test]
-    fn binomial_sane() {
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(3, 3), 1);
-        assert_eq!(binomial(2, 3), 0);
-        assert_eq!(binomial(60, 30), 118_264_581_564_861_424);
-    }
-
-    #[test]
-    fn subset_enumeration() {
+    fn cells_are_dense_and_unique() {
         let mut seen = Vec::new();
-        let mut buf = Vec::new();
-        enumerate_subsets(&[1, 2, 3, 4], 2, &mut buf, &mut |s| {
-            seen.push(s.to_vec());
-        });
-        assert_eq!(
-            seen,
-            vec![
-                vec![1, 2],
-                vec![1, 3],
-                vec![1, 4],
-                vec![2, 3],
-                vec![2, 4],
-                vec![3, 4]
-            ]
-        );
+        for b in 0..6u32 {
+            for a in 0..=b {
+                seen.push(cell(a, b));
+            }
+        }
+        assert_eq!(seen, (0..21).collect::<Vec<_>>());
     }
 }

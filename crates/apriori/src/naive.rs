@@ -1,65 +1,43 @@
-//! Exponential reference implementations used to verify the optimized
-//! miner.
-//!
-//! These enumerate every candidate itemset over the item universe, so they
-//! are only usable on tiny inputs — which is exactly what the property
-//! tests feed them.
+//! Brute-force reference for [`crate::mine`]: every ordered item pair is
+//! counted by scanning every transaction with a subset test, with no
+//! shared counting code.
 
-use crate::miner::{FrequentItemset, Support};
+use crate::miner::Support;
 use crate::rules::AssociationRule;
 use crate::transactions::{is_subset, TransactionSet};
 
-/// All frequent itemsets of size 1..=`max_len`, by brute force.
-pub fn frequent_itemsets(
-    ts: &TransactionSet,
-    min_support: Support,
-    max_len: usize,
-) -> Vec<FrequentItemset> {
-    let Some(max_item) = ts.max_item() else {
-        return Vec::new();
-    };
-    let min_count = min_support.to_count(ts.len());
-    let universe: Vec<u32> = (0..=max_item).collect();
-    let mut result = Vec::new();
-    let mut stack: Vec<(Vec<u32>, usize)> = vec![(Vec::new(), 0)];
-    while let Some((prefix, start)) = stack.pop() {
-        for (i, &item) in universe.iter().enumerate().skip(start) {
-            let mut candidate = prefix.clone();
-            candidate.push(item);
-            if candidate.len() > max_len {
-                break;
-            }
-            let count = ts.iter().filter(|t| is_subset(&candidate, t)).count() as u64;
-            if count >= min_count {
-                result.push(FrequentItemset {
-                    items: candidate.clone(),
-                    count,
-                });
-            }
-            // Even if infrequent we can stop this branch: support is
-            // antitone in the itemset (Apriori property).
-            if count >= min_count && candidate.len() < max_len {
-                stack.push((candidate, i + 1));
-            }
-        }
-    }
-    result.sort_by(|a, b| a.items.cmp(&b.items));
-    result
-}
-
-/// All association rules with confidence ≥ `min_confidence` whose union
-/// itemset is frequent, by brute force.
+/// All unary rules with a frequent pair and confidence ≥ `min_confidence`.
 pub fn rules(
     ts: &TransactionSet,
     min_support: Support,
     min_confidence: f64,
-    max_len: usize,
 ) -> Vec<AssociationRule> {
-    let itemsets = frequent_itemsets(ts, min_support, max_len);
-    crate::rules::association_rules(ts, &itemsets, min_confidence)
+    let Some(max_item) = ts.max_item() else {
+        return Vec::new();
+    };
+    let min_count = min_support.to_count(ts.len());
+    let count = |itemset: &[u32]| ts.iter().filter(|t| is_subset(itemset, t)).count() as u64;
+    let mut result = Vec::new();
+    for a in 0..=max_item {
+        for b in (0..=max_item).filter(|&b| b != a) {
+            let union_count = count(&[a.min(b), a.max(b)]);
+            let antecedent_count = count(&[a]);
+            let confidence = union_count as f64 / antecedent_count as f64;
+            if union_count >= min_count && confidence + f64::EPSILON >= min_confidence {
+                result.push(AssociationRule {
+                    antecedent: a,
+                    consequent: b,
+                    union_count,
+                    antecedent_count,
+                    support: union_count as f64 / ts.len() as f64,
+                    confidence,
+                });
+            }
+        }
+    }
+    result
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::AprioriParams;
@@ -73,12 +51,19 @@ mod tests {
         b.finish()
     }
 
+    fn params(min_count: u64, min_confidence: f64) -> AprioriParams {
+        AprioriParams {
+            min_support: Support::Count(min_count),
+            min_confidence,
+        }
+    }
+
     #[test]
     fn agrees_on_textbook_example() {
         let ts = ts_from(&[vec![1, 3, 4], vec![2, 3, 5], vec![1, 2, 3, 5], vec![2, 5]]);
-        let fast = crate::frequent_itemsets(&ts, Support::Count(2), 3);
-        let slow = frequent_itemsets(&ts, Support::Count(2), 3);
-        assert_eq!(fast, slow);
+        let fast = crate::mine(&ts, &params(2, 0.5));
+        assert_eq!(fast.len(), 8);
+        assert_eq!(fast, rules(&ts, Support::Count(2), 0.5));
     }
 
     proptest! {
@@ -88,11 +73,10 @@ mod tests {
             rows in proptest::collection::vec(
                 proptest::collection::vec(0u32..8, 0..6), 1..25),
             min_count in 1u64..4,
-            max_len in 1usize..4,
         ) {
             let ts = ts_from(&rows);
-            let fast = crate::frequent_itemsets(&ts, Support::Count(min_count), max_len);
-            let slow = frequent_itemsets(&ts, Support::Count(min_count), max_len);
+            let fast = crate::mine(&ts, &params(min_count, 0.0));
+            let slow = rules(&ts, Support::Count(min_count), 0.0);
             prop_assert_eq!(fast, slow);
         }
 
@@ -103,13 +87,8 @@ mod tests {
             conf in 0.0f64..1.0,
         ) {
             let ts = ts_from(&rows);
-            let params = AprioriParams {
-                min_support: Support::Count(1),
-                min_confidence: conf,
-                max_itemset_size: 3,
-            };
-            let fast = crate::mine(&ts, &params);
-            let slow = rules(&ts, Support::Count(1), conf, 3);
+            let fast = crate::mine(&ts, &params(1, conf));
+            let slow = rules(&ts, Support::Count(1), conf);
             prop_assert_eq!(fast, slow);
         }
 
@@ -118,20 +97,15 @@ mod tests {
             rows in proptest::collection::vec(
                 proptest::collection::vec(0u32..8, 0..6), 1..25),
         ) {
-            // Every subset of a frequent itemset appears with ≥ its count.
+            // A pair is never in more transactions than either item.
             let ts = ts_from(&rows);
-            let freq = crate::frequent_itemsets(&ts, Support::Count(1), 3);
-            let lookup: std::collections::HashMap<&[u32], u64> =
-                freq.iter().map(|f| (f.items.as_slice(), f.count)).collect();
-            for f in &freq {
-                if f.items.len() >= 2 {
-                    for drop in 0..f.items.len() {
-                        let mut sub = f.items.clone();
-                        sub.remove(drop);
-                        let sub_count = lookup.get(sub.as_slice()).copied().unwrap_or(0);
-                        prop_assert!(sub_count >= f.count);
-                    }
-                }
+            let mined = crate::mine(&ts, &params(1, 0.0));
+            for r in &mined {
+                prop_assert!(r.union_count <= r.antecedent_count);
+                let reverse = mined
+                    .iter()
+                    .find(|s| (s.antecedent, s.consequent) == (r.consequent, r.antecedent));
+                prop_assert!(reverse.is_some_and(|s| s.union_count == r.union_count));
             }
         }
     }

@@ -1,106 +1,67 @@
-//! Association-rule generation from frequent itemsets.
+//! Unary association rules from item and pair counts.
 
-use crate::miner::{frequent_itemsets, FrequentItemset};
+use crate::miner::{cell, count_pairs};
 use crate::transactions::TransactionSet;
 use crate::AprioriParams;
-use std::collections::HashMap;
 
-/// An association rule `antecedent ⇒ consequent` with its statistics.
+/// A unary association rule `antecedent ⇒ consequent` with its statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssociationRule {
-    /// Sorted left-hand-side items.
-    pub antecedent: Vec<u32>,
-    /// Sorted right-hand-side items (disjoint from the antecedent).
-    pub consequent: Vec<u32>,
-    /// Transactions containing antecedent ∪ consequent.
+    /// Left-hand-side item.
+    pub antecedent: u32,
+    /// Right-hand-side item (never the antecedent).
+    pub consequent: u32,
+    /// Transactions containing both items.
     pub union_count: u64,
     /// Transactions containing the antecedent.
     pub antecedent_count: u64,
-    /// Relative support of antecedent ∪ consequent.
+    /// Relative support of `{antecedent, consequent}`.
     pub support: f64,
     /// `union_count / antecedent_count`.
     pub confidence: f64,
-    /// Confidence divided by the consequent's base rate; > 1 means the
-    /// antecedent genuinely raises the consequent's probability.
-    pub lift: f64,
 }
 
-impl AssociationRule {
-    /// Whether both sides contain exactly one item (the shape the paper's
-    /// predictor uses).
-    pub fn is_unary(&self) -> bool {
-        self.antecedent.len() == 1 && self.consequent.len() == 1
-    }
-}
-
-/// Generate all rules with confidence ≥ `min_confidence` from frequent
-/// itemsets.
+/// Mine every unary rule `a ⇒ b` whose pair `{a, b}` is frequent and
+/// whose confidence reaches `min_confidence`.
 ///
-/// For every itemset of size ≥ 2 and every non-empty proper subset `A`, the
-/// rule `A ⇒ itemset ∖ A` is emitted if confident. Counts come from the
-/// frequent-itemset list itself: Apriori guarantees every subset of a
-/// frequent itemset is present.
-pub fn association_rules(
-    ts: &TransactionSet,
-    itemsets: &[FrequentItemset],
-    min_confidence: f64,
-) -> Vec<AssociationRule> {
-    let counts: HashMap<&[u32], u64> = itemsets
-        .iter()
-        .map(|f| (f.items.as_slice(), f.count))
-        .collect();
-    let n = ts.len() as f64;
+/// One counting pass yields every item and pair count. A pair is
+/// frequent when at least `min_support.to_count(n)` of the `n`
+/// transactions contain it (both items are then frequent too). A rule
+/// is dropped when `confidence + f64::EPSILON < min_confidence`, so the
+/// threshold is inclusive up to rounding. Rules come back sorted by
+/// `(antecedent, consequent)`.
+pub fn mine(ts: &TransactionSet, params: &AprioriParams) -> Vec<AssociationRule> {
+    let _span = wikistale_obs::MetricsRegistry::global().span("apriori_mine");
     let mut rules = Vec::new();
-    for itemset in itemsets.iter().filter(|f| f.items.len() >= 2) {
-        let k = itemset.items.len();
-        // Enumerate non-empty proper subsets via bitmask (itemsets are
-        // small: the paper uses k = 2).
-        for mask in 1u32..((1 << k) - 1) {
-            let mut antecedent = Vec::with_capacity(k);
-            let mut consequent = Vec::with_capacity(k);
-            for (bit, &item) in itemset.items.iter().enumerate() {
-                if mask & (1 << bit) != 0 {
-                    antecedent.push(item);
-                } else {
-                    consequent.push(item);
-                }
-            }
-            let Some(&antecedent_count) = counts.get(antecedent.as_slice()) else {
-                continue; // cannot happen for genuinely frequent inputs
-            };
-            let confidence = itemset.count as f64 / antecedent_count as f64;
-            if confidence + f64::EPSILON < min_confidence {
+    if ts.is_empty() {
+        return rules;
+    }
+    let counts = count_pairs(ts);
+    let min_count = params.min_support.to_count(ts.len());
+    let n = ts.len() as f64;
+    let universe = ts.max_item().map_or(0, |m| m + 1);
+    for antecedent in 0..universe {
+        let antecedent_count = counts[cell(antecedent, antecedent)];
+        for consequent in (0..universe).filter(|&c| c != antecedent) {
+            let union_count = counts[cell(antecedent.min(consequent), antecedent.max(consequent))];
+            if union_count < min_count {
                 continue;
             }
-            let consequent_count = counts.get(consequent.as_slice()).copied().unwrap_or(0);
-            let lift = if consequent_count == 0 || n == 0.0 {
-                f64::NAN
-            } else {
-                confidence / (consequent_count as f64 / n)
-            };
+            let confidence = union_count as f64 / antecedent_count as f64;
+            if confidence + f64::EPSILON < params.min_confidence {
+                continue;
+            }
             rules.push(AssociationRule {
                 antecedent,
                 consequent,
-                union_count: itemset.count,
+                union_count,
                 antecedent_count,
-                support: if n == 0.0 {
-                    0.0
-                } else {
-                    itemset.count as f64 / n
-                },
+                support: union_count as f64 / n,
                 confidence,
-                lift,
             });
         }
     }
-    rules.sort_by(|a, b| (&a.antecedent, &a.consequent).cmp(&(&b.antecedent, &b.consequent)));
     rules
-}
-
-/// Mine frequent itemsets and generate rules in one call.
-pub fn mine(ts: &TransactionSet, params: &AprioriParams) -> Vec<AssociationRule> {
-    let itemsets = frequent_itemsets(ts, params.min_support, params.max_itemset_size);
-    association_rules(ts, &itemsets, params.min_confidence)
 }
 
 #[cfg(test)]
@@ -135,17 +96,14 @@ mod tests {
             &AprioriParams {
                 min_support: Support::Count(2),
                 min_confidence: 0.8,
-                max_itemset_size: 2,
             },
         );
         assert_eq!(rules.len(), 1);
         let r = &rules[0];
-        assert_eq!(r.antecedent, vec![ko]);
-        assert_eq!(r.consequent, vec![wins]);
+        assert_eq!((r.antecedent, r.consequent), (ko, wins));
+        assert_eq!((r.union_count, r.antecedent_count), (3, 3));
         assert!((r.confidence - 1.0).abs() < 1e-12);
-        assert!(r.is_unary());
         assert!((r.support - 0.5).abs() < 1e-12);
-        assert!((r.lift - 1.0).abs() < 1e-12); // wins is in every transaction
     }
 
     #[test]
@@ -156,30 +114,11 @@ mod tests {
             &AprioriParams {
                 min_support: Support::Count(2),
                 min_confidence: 0.9,
-                max_itemset_size: 2,
             },
         );
-        assert_eq!(rules.len(), 2);
+        let sides: Vec<(u32, u32)> = rules.iter().map(|r| (r.antecedent, r.consequent)).collect();
+        assert_eq!(sides, vec![(0, 1), (1, 0)]);
         assert!(rules.iter().all(|r| (r.confidence - 1.0).abs() < 1e-12));
-        // Lift: P(1|0)=1, P(1)=0.75 → lift 4/3.
-        assert!(rules.iter().all(|r| (r.lift - 4.0 / 3.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn multiway_rules_from_triple() {
-        let rows: Vec<&[u32]> = vec![&[0, 1, 2]; 4];
-        let data = ts(&rows);
-        let itemsets = frequent_itemsets(&data, Support::Count(2), 3);
-        let rules = association_rules(&data, &itemsets, 0.5);
-        // 2^3 − 2 = 6 splits of {0,1,2}, plus 2 from each of the three
-        // pairs → 12 rules, all with confidence 1.
-        assert_eq!(rules.len(), 12);
-        assert!(rules
-            .iter()
-            .any(|r| r.antecedent == vec![0, 1] && r.consequent == vec![2]));
-        assert!(rules
-            .iter()
-            .any(|r| r.antecedent == vec![0] && r.consequent == vec![1, 2]));
     }
 
     #[test]
@@ -191,12 +130,21 @@ mod tests {
             &AprioriParams {
                 min_support: Support::Count(1),
                 min_confidence: 2.0 / 3.0,
-                max_itemset_size: 2,
             },
         );
-        assert!(rules
-            .iter()
-            .any(|r| r.antecedent == vec![0] && r.consequent == vec![1]));
+        assert!(rules.iter().any(|r| r.antecedent == 0 && r.consequent == 1));
+        // conf(0 ⇒ 1) = 7/10 rounds one ulp below 0.1 · 7; the EPSILON
+        // tolerance keeps the rule.
+        let mut rows: Vec<&[u32]> = vec![&[0, 1]; 7];
+        rows.extend([&[0][..]; 3]);
+        let rules = mine(
+            &ts(&rows),
+            &AprioriParams {
+                min_support: Support::Count(1),
+                min_confidence: 0.1 * 7.0,
+            },
+        );
+        assert!(rules.iter().any(|r| r.antecedent == 0 && r.consequent == 1));
     }
 
     #[test]
@@ -209,7 +157,6 @@ mod tests {
             &AprioriParams {
                 min_support: Support::Count(1),
                 min_confidence: 0.0,
-                max_itemset_size: 2,
             }
         )
         .is_empty());
@@ -220,6 +167,22 @@ mod tests {
         let p = AprioriParams::default();
         assert_eq!(p.min_support, Support::Fraction(0.0025));
         assert!((p.min_confidence - 0.6).abs() < 1e-12);
-        assert_eq!(p.max_itemset_size, 2);
+    }
+
+    #[test]
+    fn triple_yields_the_six_unary_rules() {
+        let rows: Vec<&[u32]> = vec![&[0, 1, 2]; 4];
+        let rules = mine(
+            &ts(&rows),
+            &AprioriParams {
+                min_support: Support::Count(2),
+                min_confidence: 0.5,
+            },
+        );
+        let sides: Vec<(u32, u32)> = rules.iter().map(|r| (r.antecedent, r.consequent)).collect();
+        assert_eq!(sides, vec![(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
+        assert!(rules
+            .iter()
+            .all(|r| r.union_count == 4 && r.confidence == 1.0));
     }
 }

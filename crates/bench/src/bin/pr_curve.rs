@@ -77,7 +77,6 @@ fn main() {
                     apriori: wikistale_apriori::AprioriParams {
                         min_support: Support::Fraction(0.0025),
                         min_confidence: confidence,
-                        max_itemset_size: 2,
                     },
                     ..AssocParams::default()
                 },

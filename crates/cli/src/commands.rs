@@ -413,18 +413,36 @@ fn cmd_filter(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--name` parsed as an `f64` that must satisfy `valid`; `expected`
+/// names the accepted range in the usage error.
+fn get_checked_f64(
+    args: &Args,
+    name: &str,
+    valid: impl Fn(f64) -> bool,
+    expected: &str,
+) -> Result<Option<f64>, CliError> {
+    match get_parsed::<f64>(args, name)? {
+        Some(value) if !valid(value) => Err(CliError::Usage(format!(
+            "--{name} must be {expected}, got {value}"
+        ))),
+        value => Ok(value),
+    }
+}
+
 fn experiment_config(args: &Args) -> Result<ExperimentConfig, CliError> {
+    let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+    let fraction = |v: f64| (0.0..=1.0).contains(&v);
     let mut config = ExperimentConfig::default();
-    if let Some(theta) = get_parsed::<f64>(args, "theta")? {
+    if let Some(theta) = get_checked_f64(args, "theta", non_negative, "finite and non-negative")? {
         config.field_corr.theta = theta;
     }
     if args.has("day-count-norm") {
         config.field_corr.norm = DistanceNorm::DayCount;
     }
-    if let Some(support) = get_parsed::<f64>(args, "support")? {
+    if let Some(support) = get_checked_f64(args, "support", fraction, "in [0, 1]")? {
         config.assoc.apriori.min_support = Support::Fraction(support);
     }
-    if let Some(confidence) = get_parsed::<f64>(args, "confidence")? {
+    if let Some(confidence) = get_checked_f64(args, "confidence", fraction, "in [0, 1]")? {
         config.assoc.apriori.min_confidence = confidence;
     }
     Ok(config)
@@ -442,6 +460,7 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
             "day-count-norm",
         ],
     )?;
+    let config = experiment_config(args)?;
     let cube = load_cube(require(args, "in")?)?;
     let span = cube
         .time_span()
@@ -449,7 +468,6 @@ fn cmd_evaluate(args: &Args) -> Result<(), CliError> {
     let split = EvalSplit::for_span(span).ok_or_else(|| {
         CliError::Other("cube spans less than the two years needed for validation + test".into())
     })?;
-    let config = experiment_config(args)?;
     let results = run_paper_evaluation(&cube, &split, &config);
     if args.has("vs-paper") {
         println!("{}", report::render_table1_vs_paper(&results));

@@ -221,7 +221,6 @@ mod tests {
                     apriori: AprioriParams {
                         min_support: Support::Fraction(0.01),
                         min_confidence: 0.6,
-                        max_itemset_size: 2,
                     },
                     ..AssocParams::default()
                 },

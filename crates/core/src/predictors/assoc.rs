@@ -6,23 +6,26 @@
 //! into weekly per-infobox transactions (the expected editing cadence of
 //! volunteer contributors); an event type is the changed property within
 //! its template (time, entity and value are deliberately excluded, §3.3).
-//! Unary rules `lhs ⇒ rhs` are mined per template with Apriori and then
-//! pruned against a held-out slice of the training range: only rules with
-//! ≥ 90 % observed precision survive (the 85 % target plus a 5 % buffer).
+//! Unary rules `lhs ⇒ rhs` are mined per template from item and pair
+//! counts and then pruned against a held-out slice of the training range:
+//! only rules with ≥ 90 % observed precision survive (the 85 % target
+//! plus a 5 % buffer).
 
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
-use wikistale_apriori::{mine, AprioriParams, TransactionSet};
-use wikistale_wikicube::{
-    ChangeCube, DateRange, EntityId, FieldId, FxHashMap, PropertyId, TemplateId,
-};
+use wikistale_apriori::{mine, AprioriParams, TransactionSet, TransactionSetBuilder};
+use wikistale_wikicube::{ChangeCube, DateRange, FieldId, FxHashMap, PropertyId, TemplateId};
 
 /// Training parameters for [`AssociationRulePredictor`].
+///
+/// A rule that never fires on the held-out slice is dropped: the paper
+/// "discards rules that do not meet 90 % precision on the validation
+/// set", and a rule with no firings has not met the bar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssocParams {
-    /// Apriori configuration. The paper's grid-search optimum is
-    /// min-support 0.25 % (relative to the template's transaction count),
-    /// min-confidence 60 %, unary rules.
+    /// Rule-mining thresholds. The paper's grid-search optimum is
+    /// min-support 0.25 % (relative to the template's transaction count)
+    /// and min-confidence 60 %.
     pub apriori: AprioriParams,
     /// Fraction of the training range (taken from its end) held out to
     /// validate rule precision; the paper uses 10 %.
@@ -30,12 +33,6 @@ pub struct AssocParams {
     /// Minimum observed precision on the held-out slice; the paper uses
     /// 90 % — the 85 % target plus a 5 % buffer for train/test drift.
     pub min_rule_precision: f64,
-    /// Whether to keep rules that never fired on the held-out slice. The
-    /// paper "discards rules that do not meet 90 % precision on the
-    /// validation set"; we read a rule with no firings as not meeting the
-    /// bar (default `false`) — keeping such unvetted rules measurably
-    /// drags test precision below the target.
-    pub keep_unvalidated_rules: bool,
 }
 
 impl Default for AssocParams {
@@ -44,7 +41,6 @@ impl Default for AssocParams {
             apriori: AprioriParams::default(),
             validation_fraction: 0.10,
             min_rule_precision: 0.90,
-            keep_unvalidated_rules: false,
         }
     }
 }
@@ -63,45 +59,53 @@ pub struct TemplateRule {
     pub support: f64,
     /// Mining confidence `P(rhs | lhs)` on the mining slice.
     pub confidence: f64,
-    /// Observed precision on the held-out validation slice; `None` if the
-    /// rule never fired there (such rules are kept — absence of evidence).
+    /// Observed precision on the held-out validation slice; `None` only
+    /// when the holdout was empty (a rule that never fired on a non-empty
+    /// holdout is dropped).
     pub validation_precision: Option<f64>,
 }
 
-/// A weekly transaction: the set of properties of one entity that changed
-/// inside one 7-day bucket.
-type WeeklyKey = (EntityId, u32);
-
-/// Build the weekly per-infobox transaction map for changes in `range`.
-/// Weeks are 7-day buckets counted from `range.start()`.
+/// Call `f(template, props)` once per weekly per-infobox transaction of
+/// `range`: `props` are the sorted, distinct properties of one entity
+/// that changed inside one 7-day bucket counted from `range.start()`.
 ///
-/// Reads the cube's shared [`wikistale_wikicube::DayListStore`] rather
-/// than re-scanning the change table: each field contributes its (already
-/// deduplicated, sorted) change days directly, and a field enters a week's
-/// transaction at most once.
-fn weekly_transactions(
+/// Walks the cube's shared [`wikistale_wikicube::DayListStore`], whose
+/// fields are sorted by `(entity, property)`, one entity's contiguous
+/// run of fields at a time; entities come in id order and each entity's
+/// weeks in time order.
+fn for_each_weekly_transaction(
     cube: &ChangeCube,
     range: DateRange,
-) -> FxHashMap<WeeklyKey, Vec<PropertyId>> {
-    let mut map: FxHashMap<WeeklyKey, Vec<PropertyId>> = FxHashMap::default();
-    for (_, field, list) in cube.day_lists().iter() {
-        let mut last_week = None;
-        for day in list.iter_in(range) {
-            let week = (day - range.start()) as u32 / 7;
-            if last_week == Some(week) {
-                continue;
+    mut f: impl FnMut(TemplateId, &[PropertyId]),
+) {
+    let store = cube.day_lists();
+    let fields = store.fields();
+    let mut events: Vec<(u32, PropertyId)> = Vec::new();
+    let mut props: Vec<PropertyId> = Vec::new();
+    let mut lo = 0;
+    while lo < fields.len() {
+        let entity = fields[lo].entity;
+        let hi = lo + fields[lo..].partition_point(|field| field.entity == entity);
+        events.clear();
+        for (pos, field) in (lo..hi).zip(&fields[lo..hi]) {
+            let mut last_week = None;
+            for day in store.list(pos).iter_in(range) {
+                let week = (day - range.start()) as u32 / 7;
+                if last_week != Some(week) {
+                    last_week = Some(week);
+                    events.push((week, field.property));
+                }
             }
-            last_week = Some(week);
-            map.entry((field.entity, week))
-                .or_default()
-                .push(field.property);
         }
+        events.sort_unstable();
+        let template = cube.template_of(entity);
+        for week in events.chunk_by(|a, b| a.0 == b.0) {
+            props.clear();
+            props.extend(week.iter().map(|&(_, property)| property));
+            f(template, &props);
+        }
+        lo = hi;
     }
-    for props in map.values_mut() {
-        props.sort_unstable();
-        props.dedup();
-    }
-    map
 }
 
 /// The trained association-rule predictor.
@@ -128,14 +132,8 @@ impl AssociationRulePredictor {
         let mine_range = DateRange::new(range.start(), range.end() - holdout_days as i32);
         let holdout_range = DateRange::new(mine_range.end(), range.end());
 
-        let mined = mine_rules(data, mine_range, &params.apriori);
-        let validated = validate_rules(
-            data.cube,
-            holdout_range,
-            mined,
-            params.min_rule_precision,
-            params.keep_unvalidated_rules,
-        );
+        let mined = mine_rules(data.cube, mine_range, &params.apriori);
+        let validated = validate_rules(data.cube, holdout_range, mined, params.min_rule_precision);
 
         let mut by_trigger: FxHashMap<(TemplateId, PropertyId), Vec<u32>> = FxHashMap::default();
         for (i, rule) in validated.iter().enumerate() {
@@ -150,7 +148,6 @@ impl AssociationRulePredictor {
             params,
         }
     }
-
     /// All surviving rules, grouped by template and sorted.
     pub fn rules(&self) -> &[TemplateRule] {
         &self.rules
@@ -188,54 +185,43 @@ impl AssociationRulePredictor {
     }
 }
 
-/// Mine unary candidate rules per template over `range`.
-fn mine_rules(data: &EvalData<'_>, range: DateRange, apriori: &AprioriParams) -> Vec<TemplateRule> {
-    let cube = data.cube;
-    // Group weekly transactions by template, with template-local item ids.
-    let weekly = weekly_transactions(cube, range);
-    let mut per_template: Vec<Vec<Vec<PropertyId>>> = vec![Vec::new(); cube.num_templates()];
-    for ((entity, _week), props) in weekly {
-        per_template[cube.template_of(entity).index()].push(props);
-    }
-
-    let jobs: Vec<(usize, Vec<Vec<PropertyId>>)> = per_template
+/// Mine unary candidate rules per template over `range`, sorted by
+/// `(template, lhs, rhs)`.
+fn mine_rules(cube: &ChangeCube, range: DateRange, apriori: &AprioriParams) -> Vec<TemplateRule> {
+    // Per template: its transactions in template-local item ids, assigned
+    // on first sight, and the properties behind those ids.
+    let mut local: FxHashMap<(TemplateId, PropertyId), u32> = FxHashMap::default();
+    let mut templates: Vec<(Vec<PropertyId>, TransactionSetBuilder)> = Vec::new();
+    templates.resize_with(cube.num_templates(), Default::default);
+    for_each_weekly_transaction(cube, range, |template, props| {
+        let (items, builder) = &mut templates[template.index()];
+        builder.push(props.iter().map(|&p| {
+            *local.entry((template, p)).or_insert_with(|| {
+                items.push(p);
+                items.len() as u32 - 1
+            })
+        }));
+    });
+    let jobs: Vec<(TemplateId, Vec<PropertyId>, TransactionSet)> = templates
         .into_iter()
         .enumerate()
-        .filter(|(_, txs)| !txs.is_empty())
+        .filter(|(_, (_, builder))| !builder.is_empty())
+        .map(|(t, (items, builder))| (TemplateId::from_index(t), items, builder.finish()))
         .collect();
 
     // Chunk size 8: templates are few but heavy, small chunks let the
     // workers balance skewed template sizes.
     let chunk_results = wikistale_exec::par_chunks("assoc_templates", &jobs, 8, |chunk| {
         let mut rules = Vec::new();
-        for (template_idx, txs) in chunk {
-            // Template-local dense item ids.
-            let mut items: Vec<PropertyId> = txs.iter().flatten().copied().collect();
-            items.sort_unstable();
-            items.dedup();
-            let item_of: FxHashMap<PropertyId, u32> = items
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (p, i as u32))
-                .collect();
-            let mut builder = TransactionSet::builder();
-            for tx in txs {
-                builder.push(tx.iter().map(|p| item_of[p]));
-            }
-            let ts = builder.finish();
-            for rule in mine(&ts, apriori) {
-                if !rule.is_unary() {
-                    continue;
-                }
-                rules.push(TemplateRule {
-                    template: TemplateId::from_index(*template_idx),
-                    lhs: items[rule.antecedent[0] as usize],
-                    rhs: items[rule.consequent[0] as usize],
-                    support: rule.support,
-                    confidence: rule.confidence,
-                    validation_precision: None,
-                });
-            }
+        for (template, items, ts) in chunk {
+            rules.extend(mine(ts, apriori).into_iter().map(|rule| TemplateRule {
+                template: *template,
+                lhs: items[rule.antecedent as usize],
+                rhs: items[rule.consequent as usize],
+                support: rule.support,
+                confidence: rule.confidence,
+                validation_precision: None,
+            }));
         }
         rules
     });
@@ -244,50 +230,42 @@ fn mine_rules(data: &EvalData<'_>, range: DateRange, apriori: &AprioriParams) ->
     rules
 }
 
-/// Score each rule's precision on the held-out slice and drop those that
-/// fired and fell below `min_precision`.
+/// Score each rule's precision on the held-out slice; keep the rules
+/// that fired there with precision ≥ `min_precision`. `rules` must be
+/// sorted by `(template, lhs, rhs)`.
 fn validate_rules(
     cube: &ChangeCube,
     holdout: DateRange,
     rules: Vec<TemplateRule>,
     min_precision: f64,
-    keep_unvalidated: bool,
 ) -> Vec<TemplateRule> {
     if rules.is_empty() || holdout.is_empty() {
         return rules;
     }
-    let mut by_trigger: FxHashMap<(TemplateId, PropertyId), Vec<u32>> = FxHashMap::default();
-    for (i, rule) in rules.iter().enumerate() {
-        by_trigger
-            .entry((rule.template, rule.lhs))
-            .or_default()
-            .push(i as u32);
-    }
     let mut fired = vec![0u32; rules.len()];
     let mut hit = vec![0u32; rules.len()];
-    for ((entity, _week), props) in weekly_transactions(cube, holdout) {
-        let template = cube.template_of(entity);
-        for &lhs in &props {
-            let Some(rule_idxs) = by_trigger.get(&(template, lhs)) else {
-                continue;
-            };
-            for &ri in rule_idxs {
-                fired[ri as usize] += 1;
-                if props.binary_search(&rules[ri as usize].rhs).is_ok() {
-                    hit[ri as usize] += 1;
+    for_each_weekly_transaction(cube, holdout, |template, props| {
+        for &lhs in props {
+            let lo = rules.partition_point(|r| (r.template, r.lhs) < (template, lhs));
+            let triggered = rules[lo..]
+                .iter()
+                .take_while(|r| (r.template, r.lhs) == (template, lhs));
+            for (i, rule) in (lo..).zip(triggered) {
+                fired[i] += 1;
+                if props.binary_search(&rule.rhs).is_ok() {
+                    hit[i] += 1;
                 }
             }
         }
-    }
+    });
     rules
         .into_iter()
-        .enumerate()
-        .filter_map(|(i, mut rule)| {
-            if fired[i] == 0 {
-                // Never fired on the holdout: no evidence either way.
-                return keep_unvalidated.then_some(rule);
+        .zip(fired.into_iter().zip(hit))
+        .filter_map(|(mut rule, (fired, hit))| {
+            if fired == 0 {
+                return None;
             }
-            let precision = hit[i] as f64 / fired[i] as f64;
+            let precision = hit as f64 / fired as f64;
             rule.validation_precision = Some(precision);
             (precision + f64::EPSILON >= min_precision).then_some(rule)
         })
@@ -326,8 +304,13 @@ impl ChangePredictor for AssociationRulePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filters::FilterPipeline;
+    use crate::split::EvalSplit;
+    use crate::tuning::paper_apriori_grid;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
     use wikistale_apriori::Support;
-    use wikistale_wikicube::{ChangeCubeBuilder, ChangeKind, CubeIndex, Date};
+    use wikistale_synth::{generate, SynthConfig};
+    use wikistale_wikicube::{ChangeCubeBuilder, ChangeKind, CubeIndex, Date, EntityId};
 
     fn day(n: i32) -> Date {
         Date::EPOCH + n
@@ -372,11 +355,9 @@ mod tests {
             apriori: AprioriParams {
                 min_support: Support::Fraction(0.01),
                 min_confidence: 0.6,
-                max_itemset_size: 2,
             },
             validation_fraction: 0.10,
             min_rule_precision: 0.90,
-            keep_unvalidated_rules: false,
         }
     }
 
@@ -384,12 +365,28 @@ mod tests {
     fn weekly_transactions_bucket_and_dedup() {
         let (cube, _) = boxer_cube();
         let range = cube.time_span().unwrap();
-        let weekly = weekly_transactions(&cube, range);
-        // Entity 0, fight 0 happens on day 0 → week 0 with both props.
-        let e0 = cube.entity_id("boxer0").unwrap();
-        let tx = &weekly[&(e0, 0)];
-        assert_eq!(tx.len(), 2);
-        assert!(tx.windows(2).all(|w| w[0] < w[1]), "sorted unique");
+        let mut weekly = Vec::new();
+        for_each_weekly_transaction(&cube, range, |template, props| {
+            weekly.push((template, props.to_vec()));
+        });
+        // Entity 0, fight 0 happens on day 0 → its first week has both props.
+        let boxer = cube.template_of(cube.entity_id("boxer0").unwrap());
+        let wins = cube.property_id("wins").unwrap();
+        let ko = cube.property_id("ko").unwrap();
+        let mut both = vec![wins, ko];
+        both.sort_unstable();
+        assert_eq!(weekly[0], (boxer, both));
+        for (_, tx) in &weekly {
+            assert!(tx.windows(2).all(|w| w[0] < w[1]), "sorted unique");
+        }
+        // One transaction per distinct (entity, week) of the change rows.
+        let mut keys: Vec<_> = cube
+            .changes_in(range)
+            .map(|c| (c.entity, (c.day - range.start()) / 7))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(weekly.len(), keys.len());
     }
 
     #[test]
@@ -524,5 +521,121 @@ mod tests {
             AssociationRulePredictor::train(&data, DateRange::with_len(day(5000), 100), params());
         assert_eq!(ar.num_rules(), 0);
         assert_eq!(ar.covered_entities(&data), 0);
+    }
+
+    /// Brute-force counts of one range's weekly transactions, built from
+    /// a row scan of the change table: transactions per template, item
+    /// counts per `(template, property)` and ordered-pair counts per
+    /// `(template, a, b)`.
+    #[derive(Default)]
+    struct RowCounts {
+        transactions: BTreeMap<TemplateId, u64>,
+        items: BTreeMap<(TemplateId, PropertyId), u64>,
+        pairs: BTreeMap<(TemplateId, PropertyId, PropertyId), u64>,
+    }
+
+    fn row_counts(cube: &ChangeCube, range: DateRange) -> RowCounts {
+        let mut weekly: BTreeMap<(EntityId, i32), BTreeSet<PropertyId>> = BTreeMap::new();
+        for c in cube.changes_in(range) {
+            let week = (c.day - range.start()) / 7;
+            weekly
+                .entry((c.entity, week))
+                .or_default()
+                .insert(c.property);
+        }
+        let mut counts = RowCounts::default();
+        for ((entity, _), props) in weekly {
+            let t = cube.template_of(entity);
+            *counts.transactions.entry(t).or_default() += 1;
+            for &a in &props {
+                *counts.items.entry((t, a)).or_default() += 1;
+                for &b in props.iter().filter(|&&b| b != a) {
+                    *counts.pairs.entry((t, a, b)).or_default() += 1;
+                }
+            }
+        }
+        counts
+    }
+
+    /// What `train` must return, from [`row_counts`] alone: frequent,
+    /// confident pairs of the mining slice, then the holdout precision
+    /// filter. `cache` memoizes the counts per range.
+    fn reference_rules(
+        cube: &ChangeCube,
+        range: DateRange,
+        params: &AssocParams,
+        cache: &mut HashMap<DateRange, RowCounts>,
+    ) -> Vec<TemplateRule> {
+        let holdout_days = ((range.len_days() as f64 * params.validation_fraction) as u32 / 7) * 7;
+        let mine_range = DateRange::new(range.start(), range.end() - holdout_days as i32);
+        let holdout = DateRange::new(mine_range.end(), range.end());
+        for r in [mine_range, holdout] {
+            cache.entry(r).or_insert_with(|| row_counts(cube, r));
+        }
+        let (mined, validation) = (&cache[&mine_range], &cache[&holdout]);
+        let mut rules = Vec::new();
+        for (&(t, lhs, rhs), &union) in &mined.pairs {
+            let n = mined.transactions[&t];
+            if union < params.apriori.min_support.to_count(n as usize) {
+                continue;
+            }
+            let confidence = union as f64 / mined.items[&(t, lhs)] as f64;
+            if confidence + f64::EPSILON < params.apriori.min_confidence {
+                continue;
+            }
+            rules.push(TemplateRule {
+                template: t,
+                lhs,
+                rhs,
+                support: union as f64 / n as f64,
+                confidence,
+                validation_precision: None,
+            });
+        }
+        if holdout.is_empty() {
+            return rules;
+        }
+        rules
+            .into_iter()
+            .filter_map(|mut rule| {
+                let fired = *validation.items.get(&(rule.template, rule.lhs))?;
+                let hit = validation
+                    .pairs
+                    .get(&(rule.template, rule.lhs, rule.rhs))
+                    .copied()
+                    .unwrap_or(0);
+                let precision = hit as f64 / fired as f64;
+                rule.validation_precision = Some(precision);
+                (precision + f64::EPSILON >= params.min_rule_precision).then_some(rule)
+            })
+            .collect()
+    }
+
+    /// `train` against [`reference_rules`] on a paper-filtered synth
+    /// corpus: the default parameters and every point of the paper's
+    /// grid, over the train and train+validation ranges.
+    fn assert_rules_match_reference(config: &SynthConfig) {
+        let corpus = generate(config);
+        let (cube, _) = FilterPipeline::paper().apply(&corpus.cube);
+        let split = EvalSplit::for_span(cube.time_span().unwrap()).unwrap();
+        let index = CubeIndex::build(&cube);
+        let data = EvalData::new(&cube, &index);
+        let mut cache = HashMap::new();
+        let mut total = 0;
+        for params in std::iter::once(AssocParams::default()).chain(paper_apriori_grid()) {
+            for range in [split.train_and_validation(), split.train] {
+                let got = AssociationRulePredictor::train(&data, range, params.clone());
+                let want = reference_rules(&cube, range, &params, &mut cache);
+                assert!(got.rules() == want.as_slice(), "{params:?} over {range:?}");
+                total += want.len();
+            }
+        }
+        assert!(total > 0, "the reference mined no rules");
+    }
+
+    #[test]
+    fn rules_match_row_scan_reference() {
+        assert_rules_match_reference(&SynthConfig::tiny());
+        assert_rules_match_reference(&SynthConfig::small());
     }
 }

@@ -111,11 +111,9 @@ pub fn paper_apriori_grid() -> Vec<AssocParams> {
                     apriori: AprioriParams {
                         min_support: Support::Fraction(support),
                         min_confidence: confidence,
-                        max_itemset_size: 2,
                     },
                     validation_fraction: fraction,
                     min_rule_precision: 0.90,
-                    keep_unvalidated_rules: false,
                 });
             }
         }

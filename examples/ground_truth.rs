@@ -130,11 +130,9 @@ fn main() {
             apriori: AprioriParams {
                 min_support: Support::Fraction(0.01),
                 min_confidence: 0.6,
-                max_itemset_size: 2,
             },
             validation_fraction: 0.10,
             min_rule_precision: 0.90,
-            keep_unvalidated_rules: false,
         },
     );
 

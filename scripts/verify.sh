@@ -81,6 +81,14 @@ run cargo test -q --offline -p wikistale-wikitext diff::tests
 run cargo test -q --offline -p wikistale-wikitext -- \
     brace unclosed_templates_extract_in_linear_time
 
+# Rule-mining gates: `AssociationRulePredictor::train` against its
+# row-scan reference (weekly transactions from the change rows, brute-force
+# pair counts per template, holdout validation) on synth tiny and small
+# with the default parameters and the paper's 48-point grid, bit-identical
+# rules; and the unary pair-count miner against its brute-force oracle.
+run cargo test -q --offline -p wikistale-core rules_match_row_scan_reference
+run cargo test -q --offline -p wikistale-apriori
+
 # Banner gate: the per-field staleness banner (`scoring::stale_flags`)
 # against the whole-cube OR-ensemble reference it replaced, on synth tiny
 # and small at 1/7/30/365-day windows, seasonal off and on, for the whole

@@ -340,3 +340,51 @@ fn evaluate_refuses_short_corpora() {
     assert!(stderr(&out).contains("two years"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn model_flags_outside_their_range_are_usage_errors() {
+    let dir = tmpdir("model-flags");
+    let raw = dir.join("raw.wcube");
+    let filtered = dir.join("filtered.wcube");
+    let (raw_s, filtered_s) = (raw.to_str().unwrap(), filtered.to_str().unwrap());
+    assert!(wikistale(&["generate", "--preset", "tiny", "--out", raw_s])
+        .status
+        .success());
+    assert!(wikistale(&["filter", "--in", raw_s, "--out", filtered_s])
+        .status
+        .success());
+    // The artifact dir does not exist: the flag check must come first
+    // (exit 2), not the load (exit 3).
+    let missing = dir.join("no-artifacts");
+    let commands: [Vec<&str>; 3] = [
+        vec!["evaluate", "--in", filtered_s],
+        vec!["experiment", "--preset", "tiny"],
+        vec!["serve", "--artifacts", missing.to_str().unwrap()],
+    ];
+    let bad = [
+        ("--support", "-0.1"),
+        ("--support", "1.5"),
+        ("--support", "nan"),
+        ("--confidence", "-1"),
+        ("--confidence", "7"),
+        ("--confidence", "nan"),
+        ("--theta", "-1"),
+        ("--theta", "inf"),
+        ("--theta", "nan"),
+    ];
+    for command in &commands {
+        for (flag, value) in bad {
+            let mut args = command.clone();
+            args.extend([flag, value]);
+            let out = wikistale(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+        }
+    }
+    // The closed range ends are accepted.
+    for (flag, value) in [("--support", "0"), ("--confidence", "1"), ("--theta", "0")] {
+        let out = wikistale(&["evaluate", "--in", filtered_s, flag, value]);
+        assert!(out.status.success(), "{flag} {value}: {}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,7 +4,7 @@
 //! are a pure function of the input and the per-call-site chunk size —
 //! never of the worker count or the scheduling order. This suite pins
 //! that promise for every parallelized stage: cube building (sort +
-//! index), Apriori support counting, field-correlation pairing, truth
+//! index), rule-mining pair counting, field-correlation pairing, truth
 //! sets / prediction sets, and the final experiment report, across
 //! seeds × thread counts {1, 2, 4, 7} × chunk sizes including the
 //! adversarial ones (1, len−1, > len).
@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::process::{Command, Output};
-use wikistale_apriori::{frequent_itemsets, Support, TransactionSet};
+use wikistale_apriori::{mine, AprioriParams, Support, TransactionSet};
 use wikistale_core::experiment::{run_paper_evaluation, ExperimentConfig, TrainedPredictors};
 use wikistale_core::filters::FilterPipeline;
 use wikistale_core::predictors::{FieldCorrelation, FieldCorrelationParams};
@@ -153,8 +153,9 @@ proptest! {
         }
     }
 
-    /// Stage 2, Apriori: sharded support counting merges to the exact
-    /// serial counts for every thread count and chunking.
+    /// Stage 2, rule mining: sharded item and pair counting merges to the
+    /// exact serial rule list (counts, support, confidence) for every
+    /// thread count and chunking.
     #[test]
     fn mined_itemsets_independent_of_threads(
         rows in proptest::collection::vec(
@@ -171,14 +172,14 @@ proptest! {
             builder.push(items.into_iter());
         }
         let ts = builder.finish();
-        let reference = with_exec(1, 0, || {
-            frequent_itemsets(&ts, Support::Count(support), 4)
-        });
+        let params = AprioriParams {
+            min_support: Support::Count(support),
+            min_confidence: 0.0,
+        };
+        let reference = with_exec(1, 0, || mine(&ts, &params));
         for chunk in adversarial_chunks(ts.len()) {
             for threads in [2, 4, 7] {
-                let got = with_exec(threads, chunk, || {
-                    frequent_itemsets(&ts, Support::Count(support), 4)
-                });
+                let got = with_exec(threads, chunk, || mine(&ts, &params));
                 prop_assert_eq!(
                     &got, &reference,
                     "threads={} chunk={}", threads, chunk
@@ -472,8 +473,8 @@ fn columnar_rebuild_from_rows_is_byte_identical() {
     }
 }
 
-/// The weekly Apriori transactions read from the shared day store match
-/// the pre-columnar row-scan reference exactly.
+/// The weekly association-rule transactions read from the shared day
+/// store match the pre-columnar row-scan reference exactly.
 #[test]
 fn weekly_transactions_from_day_store_match_row_scan() {
     use std::collections::{BTreeMap, BTreeSet};
