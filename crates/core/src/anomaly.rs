@@ -137,7 +137,7 @@ fn collect_series(
             if days.len() < min_points {
                 return None;
             }
-            Some((days.first()?, days.last()?, FieldSeries::default()))
+            Some((*days.first()?, *days.last()?, FieldSeries::default()))
         })
         .collect();
     for c in cube.iter_changes() {
@@ -228,7 +228,7 @@ mod tests {
             if days.len() < params.min_points {
                 continue;
             }
-            let (Some(first), Some(last)) = (days.first(), days.last()) else {
+            let (Some(&first), Some(&last)) = (days.first(), days.last()) else {
                 continue;
             };
             let mut series = FieldSeries::default();

@@ -1,6 +1,7 @@
 //! Precision / recall evaluation of prediction sets (§5).
 
 use crate::predictions::PredictionSet;
+use wikistale_wikicube::daylist::in_range;
 use wikistale_wikicube::{CubeIndex, DateRange};
 
 /// Evaluation result of one predictor at one granularity.
@@ -85,7 +86,7 @@ pub fn truth_set(index: &CubeIndex, range: DateRange, granularity: u32) -> Predi
         wikistale_exec::par_ranges("truth_fields", index.num_fields(), 4_096, |positions| {
             let mut items: Vec<(u32, u32)> = Vec::new();
             for pos in positions {
-                for day in index.days(pos).iter_in(range) {
+                for &day in in_range(index.days(pos), range) {
                     if let Some(window) = probe.window_of(day) {
                         items.push((pos as u32, window));
                     }

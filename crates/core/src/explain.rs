@@ -11,6 +11,7 @@
 
 use crate::predictor::EvalData;
 use crate::predictors::{AssociationRulePredictor, FieldCorrelation};
+use wikistale_wikicube::daylist::in_range;
 use wikistale_wikicube::{Date, DateRange, FieldId};
 
 /// One reason a field was flagged.
@@ -128,11 +129,11 @@ pub fn explain(
 
     // Field-correlation reasons: partners that changed inside the window.
     for &partner_pos in field_corr.partners_of(pos) {
-        let days: Vec<Date> = index.days(partner_pos as usize).iter_in(window).collect();
+        let days = in_range(index.days(partner_pos as usize), window);
         if !days.is_empty() {
             reasons.push(Reason::CorrelatedPartnerChanged {
                 partner: index.field(partner_pos as usize),
-                days,
+                days: days.to_vec(),
             });
         }
     }
@@ -151,11 +152,11 @@ pub fn explain(
         let Some(trigger_pos) = index.position(trigger) else {
             continue;
         };
-        let days: Vec<Date> = index.days(trigger_pos).iter_in(window).collect();
+        let days = in_range(index.days(trigger_pos), window);
         if !days.is_empty() {
             reasons.push(Reason::RuleFired {
                 trigger,
-                days,
+                days: days.to_vec(),
                 confidence: rule.confidence,
                 validation_precision: rule.validation_precision,
             });

@@ -14,6 +14,7 @@
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
 use wikistale_apriori::{mine, AprioriParams, TransactionSet, TransactionSetBuilder};
+use wikistale_wikicube::daylist::in_range;
 use wikistale_wikicube::{ChangeCube, DateRange, FieldId, FxHashMap, PropertyId, TemplateId};
 
 /// Training parameters for [`AssociationRulePredictor`].
@@ -71,8 +72,9 @@ pub struct TemplateRule {
 ///
 /// Walks the cube's shared [`wikistale_wikicube::DayListStore`], whose
 /// fields are sorted by `(entity, property)`, one entity's contiguous
-/// run of fields at a time; entities come in id order and each entity's
-/// weeks in time order.
+/// run of fields at a time, and slices each field's days to `range` with
+/// [`in_range`]; entities come in id order and each entity's weeks in
+/// time order.
 fn for_each_weekly_transaction(
     cube: &ChangeCube,
     range: DateRange,
@@ -89,7 +91,7 @@ fn for_each_weekly_transaction(
         events.clear();
         for (pos, field) in (lo..hi).zip(&fields[lo..hi]) {
             let mut last_week = None;
-            for day in store.list(pos).iter_in(range) {
+            for &day in in_range(store.list(pos), range) {
                 let week = (day - range.start()) as u32 / 7;
                 if last_week != Some(week) {
                     last_week = Some(week);

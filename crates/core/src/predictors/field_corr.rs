@@ -26,6 +26,7 @@
 
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
+use wikistale_wikicube::daylist::in_range;
 use wikistale_wikicube::{Date, DateRange, FxHashMap, PageId};
 
 /// How to normalize the Manhattan distance between change vectors.
@@ -184,12 +185,6 @@ pub fn change_distance_lagged(
     }
 }
 
-fn in_range(days: &[Date], range: DateRange) -> &[Date] {
-    let lo = days.partition_point(|&d| d < range.start());
-    let hi = days.partition_point(|&d| d < range.end());
-    &days[lo..hi]
-}
-
 /// Length of the run of equal days starting at `i`.
 fn run_len(days: &[Date], i: usize) -> usize {
     let day = days[i];
@@ -228,21 +223,15 @@ impl FieldCorrelation {
             let mut rules: Vec<(u32, u32)> = Vec::new();
             for &page in chunk {
                 let fields = index.fields_on_page(page);
-                // Decode each field's delta-encoded day list once per
-                // page; the pairwise distance loop reads plain slices.
-                let decoded: Vec<Vec<Date>> = fields
-                    .iter()
-                    .map(|&f| index.days(f as usize).to_vec())
-                    .collect();
                 for (i, &a) in fields.iter().enumerate() {
-                    let a_days = &decoded[i];
+                    let a_days = index.days(a as usize);
                     if in_range(a_days, range).is_empty() {
                         continue;
                     }
-                    for (j, &b) in fields.iter().enumerate().skip(i + 1) {
+                    for &b in &fields[i + 1..] {
                         let d = change_distance_lagged(
                             a_days,
-                            &decoded[j],
+                            index.days(b as usize),
                             range,
                             params.norm,
                             params.lag_days,
@@ -309,7 +298,7 @@ impl ChangePredictor for FieldCorrelation {
         let mut set = PredictionSet::new(range, granularity);
         for (&field, partners) in &self.partners {
             for &partner in partners {
-                for day in data.index.days(partner as usize).iter_in(range) {
+                for &day in in_range(data.index.days(partner as usize), range) {
                     set.insert_day(field, day);
                 }
             }

@@ -10,10 +10,10 @@
 //! the paper reports ≤ 55 % precision everywhere — but it calibrates how
 //! hard the task is.
 //!
-//! Both training and prediction walk each field's day list once with a
-//! forward [`DayCursor`](wikistale_wikicube::DayCursor): training probes
-//! the range start and end, prediction probes every window start in
-//! order. A sweep over `W` windows therefore costs O(runs + W) per field.
+//! Training binary-searches each field's sorted days for the range start
+//! and end. Prediction walks one forward index through the days while
+//! visiting the window starts in order, so a sweep over `W` windows costs
+//! O(days + W) per field.
 
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
@@ -33,17 +33,14 @@ impl MeanBaseline {
         let index = data.index;
         let mean_gap = (0..index.num_fields())
             .map(|pos| {
-                let mut cursor = index.days(pos).cursor();
-                cursor.advance_to(range.start());
-                let skipped = cursor.count_before();
-                let first = cursor.first_from();
-                cursor.advance_to(range.end());
-                let n = cursor.count_before() - skipped;
+                let days = index.days(pos);
+                let lo = days.partition_point(|&d| d < range.start());
+                let hi = days.partition_point(|&d| d < range.end());
+                let n = hi - lo;
                 if n < 2 {
                     return None;
                 }
-                let (first, last) = (first?, cursor.last_before()?);
-                let span = (last - first) as f64;
+                let span = (days[hi - 1] - days[lo]) as f64;
                 let gap = span / (n - 1) as f64;
                 // Identical-day histories cannot happen after
                 // day-deduplication, but guard the division downstream.
@@ -80,11 +77,15 @@ impl ChangePredictor for MeanBaseline {
             let Some(gap) = self.gap_of(pos) else {
                 continue;
             };
-            let mut cursor = data.index.days(pos).cursor();
+            let days = data.index.days(pos);
+            // Number of days before the current window start.
+            let mut before = 0;
             for w in 0..set.num_windows() {
                 let window = set.window_range(w);
-                cursor.advance_to(window.start());
-                let Some(last) = cursor.last_before() else {
+                while before < days.len() && days[before] < window.start() {
+                    before += 1;
+                }
+                let Some(&last) = days[..before].last() else {
                     continue;
                 };
                 let elapsed = (window.start() - last) as f64;

@@ -132,11 +132,8 @@ impl ChangePredictor for SeasonalPredictor {
 
     fn predict(&self, data: &EvalData<'_>, range: DateRange, granularity: u32) -> PredictionSet {
         let mut set = PredictionSet::new(range, granularity);
-        // One decode buffer reused across fields: the delta-encoded day
-        // lists are expanded here because recurrence binary-searches them.
-        let mut scratch = Vec::new();
         for pos in 0..data.index.num_fields() {
-            let days = data.index.days(pos).decode_into(&mut scratch);
+            let days = data.index.days(pos);
             for w in 0..set.num_windows() {
                 if self.recurs(days, set.window_range(w)) {
                     set.insert(pos as u32, w);

@@ -10,6 +10,7 @@
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
 use crate::split::EvalSplit;
+use wikistale_wikicube::daylist::in_range;
 use wikistale_wikicube::DateRange;
 
 /// The threshold baseline. Stateless apart from its threshold: the
@@ -60,7 +61,7 @@ impl ChangePredictor for ThresholdBaseline {
             let days = data.index.days(pos);
             let mut windows_with_change = 0u32;
             let mut last_window = None;
-            for day in days.iter_in(reference) {
+            for &day in in_range(days, reference) {
                 let w = ref_windows.window_of(day);
                 if w.is_some() && w != last_window {
                     windows_with_change += 1;

@@ -279,7 +279,6 @@ pub(crate) fn stale_flags(
     window: DateRange,
 ) -> Vec<Explanation> {
     let (index, fc, ar) = (data.index, &predictors.field_corr, &predictors.assoc);
-    let mut scratch = Vec::new();
     let flag = |pos: usize| {
         // An empty window holds no prediction, and a field the reader
         // already sees freshly updated needs no banner (in the §5
@@ -290,7 +289,7 @@ pub(crate) fn stale_flags(
         let field = index.field(pos);
         let mut explanation = explain(data, fc, ar, field, window);
         if let Some(seasonal) = seasonal {
-            let days = index.days(pos).decode_into(&mut scratch);
+            let days = index.days(pos);
             if explanation.is_none() && !seasonal.recurs(days, window) {
                 return None;
             }

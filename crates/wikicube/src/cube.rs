@@ -486,16 +486,13 @@ impl ChangeCube {
 
     /// The canonical per-field day lists: for every `(entity, property)`
     /// field, its strictly-increasing change days across **all** change
-    /// kinds, delta-encoded (see [`DayListStore`]). Built lazily on first
-    /// use and shared by `Arc` — the index, the Apriori transaction
-    /// builder and the statistics all read this one copy instead of
-    /// re-deriving day lists from the change table.
+    /// kinds (see [`DayListStore`]). Built lazily on first use and shared
+    /// by `Arc` — the index, the Apriori transaction builder and the
+    /// statistics all read this one copy instead of re-deriving day lists
+    /// from the change table.
     pub fn day_lists(&self) -> &Arc<DayListStore> {
-        self.day_store.get_or_init(|| {
-            Arc::new(DayListStore::from_field_days(
-                crate::daylist::collect_field_days(self, None),
-            ))
-        })
+        self.day_store
+            .get_or_init(|| Arc::new(DayListStore::build(self, None)))
     }
 
     /// Heap bytes of the columnar change table.
@@ -820,7 +817,7 @@ mod tests {
         let cube = b.finish();
         let store = cube.day_lists();
         let list = store.get(FieldId::new(e, p)).unwrap();
-        assert_eq!(list.to_vec(), vec![day(1), day(2), day(4)]);
+        assert_eq!(list, [day(1), day(2), day(4)]);
         // Shared: a second call returns the same Arc allocation.
         assert!(Arc::ptr_eq(cube.day_lists(), store));
     }

@@ -7,19 +7,19 @@
 //! * **page → fields** (the per-page correlation search of §3.2),
 //! * **template → entities / properties** (transaction building of §3.3).
 //!
-//! The field → days view is the shared delta-encoded [`DayListStore`]:
-//! when the index's kinds cover every change the cube holds (all kinds,
-//! or updates on a paper-filtered cube) it borrows the cube's own
-//! canonical store by `Arc` instead of re-deriving it; otherwise the
-//! kind-filtered view is derived once here. Page and template views are
-//! materialized in compressed-sparse-row layout.
+//! The field → days view is the shared [`DayListStore`], whose lists are
+//! sorted `&[Date]` slices: when the index's kinds cover every change the
+//! cube holds (all kinds, or updates on a paper-filtered cube) it borrows
+//! the cube's own canonical store by `Arc` instead of re-deriving it;
+//! otherwise the kind-filtered view is built once here. Page and template
+//! views are materialized in compressed-sparse-row layout.
 //! Fields get a dense index (`usize` position in [`CubeIndex::fields`])
 //! so downstream code can use plain vectors keyed by field position.
 
 use crate::change::ChangeKind;
 use crate::cube::ChangeCube;
 use crate::date::Date;
-use crate::daylist::{store_for_kinds, DayList, DayListStore};
+use crate::daylist::DayListStore;
 use crate::ids::{EntityId, FieldId, PageId, PropertyId, TemplateId};
 use std::sync::Arc;
 
@@ -53,11 +53,11 @@ impl CubeIndex {
         let store = if covers_cube {
             // Every change of the cube passes the kind filter, so the
             // cube's canonical day lists are exactly this view (always so
-            // for a paper-filtered, update-only cube); share the encoded
-            // store instead of rebuilding it.
+            // for a paper-filtered, update-only cube); share that store
+            // instead of rebuilding it.
             Arc::clone(cube.day_lists())
         } else {
-            store_for_kinds(cube, kinds)
+            Arc::new(DayListStore::build(cube, Some(kinds)))
         };
         CubeIndex::from_store(cube, store)
     }
@@ -133,14 +133,16 @@ impl CubeIndex {
         self.store.position(field)
     }
 
-    /// Sorted change days of the field at `pos`, as a delta-encoded view.
-    pub fn days(&self, pos: usize) -> DayList<'_> {
+    /// Sorted change days of the field at `pos`.
+    pub fn days(&self, pos: usize) -> &[Date] {
         self.store.list(pos)
     }
 
     /// Whether the field at `pos` changed on any day in `[start, end)`.
     pub fn changed_in(&self, pos: usize, start: Date, end: Date) -> bool {
-        self.store.list(pos).changed_in(start, end)
+        let days = self.days(pos);
+        let first = days.partition_point(|&d| d < start);
+        days.get(first).is_some_and(|&d| d < end)
     }
 
     /// Dense positions of all fields on `page`, ascending.
@@ -230,7 +232,7 @@ mod tests {
         let pop = cube.property_id("population_est").unwrap();
         let pos = idx.position(FieldId::new(london, pop)).unwrap();
         // Only the update on day 4 is indexed; create/delete are not.
-        assert_eq!(idx.days(pos).to_vec(), vec![day(4)]);
+        assert_eq!(idx.days(pos), [day(4)]);
     }
 
     #[test]
@@ -243,7 +245,7 @@ mod tests {
         let london = cube.entity_id("London").unwrap();
         let pop = cube.property_id("population_est").unwrap();
         let pos = idx.position(FieldId::new(london, pop)).unwrap();
-        assert_eq!(idx.days(pos).to_vec(), vec![day(0), day(4), day(8)]);
+        assert_eq!(idx.days(pos), [day(0), day(4), day(8)]);
     }
 
     #[test]
@@ -267,13 +269,7 @@ mod tests {
         let ali = cube.entity_id("Ali").unwrap();
         let wins = cube.property_id("wins").unwrap();
         let pos = idx.position(FieldId::new(ali, wins)).unwrap();
-        assert_eq!(idx.days(pos).to_vec(), vec![day(1), day(2), day(3)]);
-        let mut cursor = idx.days(pos).cursor();
-        cursor.advance_to(day(0));
-        assert_eq!(cursor.last_before(), None);
-        cursor.advance_to(day(3));
-        assert_eq!(cursor.last_before(), Some(day(2)));
-        assert_eq!(cursor.count_before(), 2);
+        assert_eq!(idx.days(pos), [day(1), day(2), day(3)]);
     }
 
     #[test]

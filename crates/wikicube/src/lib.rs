@@ -28,7 +28,7 @@
 //! * [`change`] — the [`Change`] record and its [`ChangeKind`],
 //! * [`cube`] — the [`ChangeCube`] container (columnar, struct-of-arrays
 //!   change table) and its builder,
-//! * [`daylist`] — shared, delta-encoded per-field day lists
+//! * [`daylist`] — shared per-field day lists as sorted slices
 //!   ([`DayListStore`]), built once and reused by every stage,
 //! * [`index`] — derived access paths (field → change days, page → fields,
 //!   template → entities/properties) in compressed-sparse-row layout,
@@ -75,7 +75,7 @@ pub mod stats;
 pub use change::{Change, ChangeFlags, ChangeKind};
 pub use cube::{ChangeColumns, ChangeCube, ChangeCubeBuilder, Changes, Dimensions, EntityMeta};
 pub use date::{Date, DateRange, Weekday};
-pub use daylist::{DayCursor, DayList, DayListStore};
+pub use daylist::DayListStore;
 pub use error::CubeError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use ids::{EntityId, FieldId, PageId, PropertyId, TemplateId, ValueId};

@@ -41,11 +41,15 @@ run cargo test -q --offline -p wikistale-obs parallel
 run cargo test -q --offline -p wikistale-cli --test differential -- \
     day_list columnar weekly_transactions
 
-# Day-list sweep gates: the forward cursor's unit and property tests,
-# and the mean baseline's cursor sweep against its per-window reference
-# (synth tiny at 1/7/30/365 days plus the hand-built fixtures).
+# Day-list gates: the slice store's unit and property tests (round trip,
+# field order and positions, kind filters, `in_range` and `changed_in`),
+# the mean baseline's forward sweep against its per-window reference
+# (synth tiny at 1/7/30/365 days plus the hand-built fixtures), and the
+# build heap bound (at most 2x the finished store on synth small, raw
+# and paper-filtered).
 run cargo test -q --offline -p wikistale-wikicube daylist
 run cargo test -q --offline -p wikistale-core mean_baseline
+run cargo test -q --offline -p wikistale-bench --test daylist_heap
 
 # Cube-constructor gates: `from_parts` against the row path it replaced
 # (random unsorted columns with same-day duplicate keys, empty,

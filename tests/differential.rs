@@ -395,17 +395,18 @@ fn checkpoint_resume_crosses_thread_counts() {
 
 // ---------------------------------------------------------------------------
 // Row-vs-columnar differential: the columnar change table and the shared
-// delta-encoded day-list store against straight row-layout reference
-// implementations, at --threads {1, 4}.
+// day-list store (sorted day slices) against straight row-layout
+// reference implementations, at --threads {1, 4}.
 
 /// Reference day lists computed the pre-columnar way: scan every change
-/// row and bucket its day under the (entity, property) field.
+/// row of `kinds` and bucket its day under the (entity, property) field.
 fn reference_day_lists(
     cube: &ChangeCube,
+    kinds: &[ChangeKind],
 ) -> std::collections::BTreeMap<wikistale_wikicube::FieldId, Vec<Date>> {
     let mut map: std::collections::BTreeMap<wikistale_wikicube::FieldId, Vec<Date>> =
         std::collections::BTreeMap::new();
-    for c in cube.iter_changes() {
+    for c in cube.iter_changes().filter(|c| kinds.contains(&c.kind)) {
         let days = map.entry(c.field()).or_default();
         if days.last() != Some(&c.day) {
             days.push(c.day);
@@ -414,36 +415,73 @@ fn reference_day_lists(
     map
 }
 
-/// The shared day-list store decodes to exactly the day lists a row scan
-/// produces — fields, order, and every day — at every thread count.
+/// Assert that `store` holds exactly the `reference` day lists — fields,
+/// order and every day — and that `position` finds each field and
+/// nothing else.
+fn assert_store_matches(
+    store: &wikistale_wikicube::DayListStore,
+    reference: &std::collections::BTreeMap<wikistale_wikicube::FieldId, Vec<Date>>,
+    what: &str,
+) {
+    use wikistale_wikicube::{EntityId, FieldId, PropertyId};
+    assert_eq!(store.num_fields(), reference.len(), "{what}");
+    assert_eq!(
+        store.total_days(),
+        reference.values().map(Vec::len).sum::<usize>(),
+        "{what}"
+    );
+    for ((pos, field, list), (ref_field, expected)) in store.iter().zip(reference) {
+        assert_eq!(field, *ref_field, "{what} field #{pos}");
+        assert_eq!(list, expected.as_slice(), "{what} field #{pos}");
+    }
+    for (field, expected) in reference {
+        let pos = store.position(*field);
+        assert_eq!(pos.map(|p| store.field(p)), Some(*field), "{what}");
+        assert_eq!(store.get(*field), Some(expected.as_slice()), "{what}");
+    }
+    // A property absent on an entity that has fields, and an entity past
+    // the last field.
+    let (first, last) = (store.fields()[0], store.fields()[store.num_fields() - 1]);
+    let absent = (0..)
+        .map(|p| FieldId::new(first.entity, PropertyId(p)))
+        .find(|f| !reference.contains_key(f))
+        .unwrap();
+    assert_eq!(store.position(absent), None, "{what}");
+    let past = FieldId::new(EntityId(last.entity.0 + 1), PropertyId(0));
+    assert_eq!(store.position(past), None, "{what}");
+}
+
+/// The shared day-list store holds exactly the day lists a row scan
+/// produces, at every thread count: the cube's all-kinds store on the raw
+/// and the paper-filtered cube, and the kind-filtered stores an index
+/// builds on the raw cube.
 #[test]
 fn day_list_store_matches_row_scan() {
+    use ChangeKind::{Create, Delete, Update};
     for seed in [2u64, 13] {
         let config = SynthConfig {
             seed,
             ..SynthConfig::tiny()
         };
         for threads in [1usize, 4] {
-            let (raw, filtered) = with_exec(threads, 0, || {
+            let (raw, filtered, by_kinds) = with_exec(threads, 0, || {
                 let corpus = generate(&config);
                 let filtered = FilterPipeline::paper().apply(&corpus.cube).0;
-                (corpus.cube, filtered)
+                let by_kinds: Vec<(&[ChangeKind], CubeIndex)> = [&[Update][..], &[Create, Delete]]
+                    .into_iter()
+                    .map(|kinds| (kinds, CubeIndex::build_for_kinds(&corpus.cube, kinds)))
+                    .collect();
+                (corpus.cube, filtered, by_kinds)
             });
-            for cube in [&raw, &filtered] {
-                let reference = reference_day_lists(cube);
-                let store = cube.day_lists();
-                assert_eq!(store.num_fields(), reference.len(), "threads={threads}");
-                for (pos, field, list) in store.iter() {
-                    let expected = &reference[&field];
-                    assert_eq!(
-                        &list.to_vec(),
-                        expected,
-                        "seed={seed} threads={threads} field #{pos}"
-                    );
-                    assert_eq!(list.len(), expected.len());
-                    assert_eq!(list.first(), expected.first().copied());
-                    assert_eq!(list.last(), expected.last().copied());
-                }
+            for (name, cube) in [("raw", &raw), ("filtered", &filtered)] {
+                let reference = reference_day_lists(cube, &[Create, Update, Delete]);
+                let what = format!("seed={seed} threads={threads} {name}");
+                assert_store_matches(cube.day_lists(), &reference, &what);
+            }
+            for (kinds, index) in &by_kinds {
+                let reference = reference_day_lists(&raw, kinds);
+                let what = format!("seed={seed} threads={threads} raw {kinds:?}");
+                assert_store_matches(index.day_lists(), &reference, &what);
             }
         }
     }
@@ -494,7 +532,7 @@ fn weekly_transactions_from_day_store_match_row_scan() {
     // Day-store walk: what the association-rule trainer reads.
     let mut got: BTreeMap<(EntityId, u32), BTreeSet<PropertyId>> = BTreeMap::new();
     for (_, field, list) in filtered.day_lists().iter() {
-        for day in list.iter_in(range) {
+        for &day in wikistale_wikicube::daylist::in_range(list, range) {
             let week = (day - range.start()) as u32 / 7;
             got.entry((field.entity, week))
                 .or_default()
