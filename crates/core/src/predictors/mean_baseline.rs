@@ -11,13 +11,16 @@
 //! hard the task is.
 //!
 //! Training binary-searches each field's sorted days for the range start
-//! and end. Prediction walks one forward index through the days while
-//! visiting the window starts in order, so a sweep over `W` windows costs
-//! O(days + W) per field.
+//! and end. Prediction walks one forward index through the days and
+//! visits only the windows a forecast can land in: after a positive window
+//! the next one, after a negative one the window just before the
+//! forecast's, but never past the window after the field's next change,
+//! which resets the last change. Every visited window is decided by the
+//! per-window expression, so a field costs O(days + hits), not O(W).
 
 use crate::predictions::PredictionSet;
 use crate::predictor::{ChangePredictor, EvalData};
-use wikistale_wikicube::DateRange;
+use wikistale_wikicube::{Date, DateRange};
 
 /// The trained mean baseline: one mean gap per field position.
 #[derive(Debug, Clone)]
@@ -73,6 +76,11 @@ impl ChangePredictor for MeanBaseline {
     /// window.
     fn predict(&self, data: &EvalData<'_>, range: DateRange, granularity: u32) -> PredictionSet {
         let mut set = PredictionSet::new(range, granularity);
+        let num_windows = set.num_windows();
+        let start = range.start();
+        // The window holding `day` (≥ the range start), possibly past the
+        // last one.
+        let window_of = |day: Date| (day - start) as u32 / granularity;
         for pos in 0..data.index.num_fields() {
             let Some(gap) = self.gap_of(pos) else {
                 continue;
@@ -80,12 +88,19 @@ impl ChangePredictor for MeanBaseline {
             let days = data.index.days(pos);
             // Number of days before the current window start.
             let mut before = 0;
-            for w in 0..set.num_windows() {
+            let mut w = 0;
+            while w < num_windows {
                 let window = set.window_range(w);
                 while before < days.len() && days[before] < window.start() {
                     before += 1;
                 }
+                // The windows up to the next change's share its `last`;
+                // the one after it sees the change itself.
+                let reset = days
+                    .get(before)
+                    .map_or(num_windows, |&next| window_of(next) + 1);
                 let Some(&last) = days[..before].last() else {
+                    w = reset;
                     continue;
                 };
                 let elapsed = (window.start() - last) as f64;
@@ -93,7 +108,15 @@ impl ChangePredictor for MeanBaseline {
                 let forecast = last.day_number() as f64 + steps * gap;
                 if forecast < window.end().day_number() as f64 {
                     set.insert(pos as u32, w);
+                    w += 1;
+                    continue;
                 }
+                // Later windows see the same forecast until `reset`. Land
+                // one window early so float rounding at a window edge
+                // cannot skip the forecast's own window (`as` saturates
+                // a landing past the last window).
+                let landing = ((forecast - start.day_number() as f64) / granularity as f64).floor();
+                w = ((landing - 1.0) as u32).max(w + 1).min(reset);
             }
         }
         set.seal();
@@ -104,6 +127,7 @@ impl ChangePredictor for MeanBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wikistale_wikicube::{ChangeCubeBuilder, ChangeKind, CubeIndex, Date};
 
     fn day(n: i32) -> Date {
@@ -195,22 +219,32 @@ mod tests {
         emitted
     }
 
-    #[test]
-    fn sweep_matches_reference_on_synth_tiny() {
+    /// Paper-filter a synth corpus, then check the test year trained on
+    /// the training range and, swapped, the training range trained on the
+    /// validation year, which moves the probes across every part of each
+    /// history.
+    fn assert_matches_reference_on_synth(config: &wikistale_synth::SynthConfig) {
         use crate::filters::FilterPipeline;
         use crate::split::EvalSplit;
-        use wikistale_synth::{generate, SynthConfig};
 
-        let corpus = generate(&SynthConfig::tiny());
+        let corpus = wikistale_synth::generate(config);
         let (filtered, _) = FilterPipeline::paper().apply(&corpus.cube);
         let split = EvalSplit::for_span(filtered.time_span().unwrap()).unwrap();
         let index = CubeIndex::build(&filtered);
         let data = EvalData::new(&filtered, &index);
-        let emitted = assert_matches_reference(&data, split.train, split.test, &[1, 7, 30, 365]);
-        assert!(emitted > 0);
-        // Training on the validation year and predicting the training
-        // range moves the probes across every part of each history.
-        assert_matches_reference(&data, split.validation, split.train, &[1, 7, 30, 365]);
+        let grans = [1, 7, 30, 365];
+        assert!(assert_matches_reference(&data, split.train, split.test, &grans) > 0);
+        assert!(assert_matches_reference(&data, split.validation, split.train, &grans) > 0);
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_synth_tiny() {
+        assert_matches_reference_on_synth(&wikistale_synth::SynthConfig::tiny());
+    }
+
+    #[test]
+    fn sweep_matches_reference_on_synth_small() {
+        assert_matches_reference_on_synth(&wikistale_synth::SynthConfig::small());
     }
 
     #[test]
@@ -248,6 +282,30 @@ mod tests {
         assert!(
             assert_matches_reference(&data, train, DateRange::new(day(-30), day(60)), &grans) > 0
         );
+    }
+
+    #[test]
+    fn jump_keeps_a_forecast_a_hair_below_a_window_start() {
+        // Changes at -13, -8, -4 and 0 train the gap 13/3, whose 54th
+        // step lands at 233.99999999999997, inside window [232, 234) of a
+        // range starting at -300. Measured from the range start that
+        // forecast rounds to 534.0, the start of the next window, so
+        // landing exactly where the window index says would skip it.
+        let mut b = ChangeCubeBuilder::new();
+        let e = b.entity("E", "t", "P");
+        let p = b.property("p");
+        for d in [-13, -8, -4, 0] {
+            b.change(day(d), e, p, "v", ChangeKind::Update);
+        }
+        let cube = b.finish();
+        let index = CubeIndex::build(&cube);
+        let data = EvalData::new(&cube, &index);
+        let mb = MeanBaseline::train(&data, DateRange::new(day(-20), day(10)));
+        assert_eq!(mb.gap_of(0), Some(13.0 / 3.0));
+        let eval = DateRange::with_len(day(-300), 800);
+        let set = mb.predict(&data, eval, 2);
+        assert_eq!(set, reference::predict(&mb, &data, eval, 2));
+        assert!(set.contains(0, 266));
     }
 
     /// One perfectly periodic field (every 10 days) and one sparse field.
@@ -370,5 +428,67 @@ mod tests {
         // not within this window).
         let set3 = mb.predict(&data, DateRange::new(day(99), day(104)), 5);
         assert!(set3.is_empty());
+    }
+
+    /// A gap for the proptest: a whole number of days, a rational
+    /// `span / (n - 1)` as training computes it (forecasts then land on
+    /// window edges up to float rounding), or an arbitrary float.
+    fn gap_strategy() -> impl Strategy<Value = f64> {
+        (0u8..3, 1u32..400, 2u32..40, 0.2f64..90.0).prop_map(|(kind, span, n, free)| match kind {
+            0 => (span % 60 + 1) as f64,
+            1 => span as f64 / (n - 1) as f64,
+            _ => free,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The jumping `predict` equals the per-window reference on random
+        /// histories and gaps, for evaluation ranges before, inside and
+        /// after the history, at granularities from 1 to 365 days.
+        #[test]
+        fn prop_jump_matches_reference(
+            fields in proptest::collection::vec(
+                (proptest::collection::btree_set(-40i32..400, 0..30), gap_strategy()),
+                1..6,
+            ),
+            place in 0u8..3,
+            offset in 0i32..400,
+            len in 0u32..900,
+        ) {
+            let mut b = ChangeCubeBuilder::new();
+            let e = b.entity("E", "t", "P");
+            for (i, (days, _)) in fields.iter().enumerate() {
+                let p = b.property(&format!("p{i}"));
+                for &d in days {
+                    b.change(day(d), e, p, "v", ChangeKind::Update);
+                }
+            }
+            let cube = b.finish();
+            let index = CubeIndex::build(&cube);
+            let data = EvalData::new(&cube, &index);
+            // The index orders fields by property id, which follows `i`.
+            let mean_gap = (0..index.num_fields())
+                .map(|pos| {
+                    let name = cube.properties().resolve(index.field(pos).property.0);
+                    let i: usize = name[1..].parse().unwrap();
+                    Some(fields[i].1)
+                })
+                .collect();
+            let mb = MeanBaseline { mean_gap };
+            let start = match place {
+                0 => -450 + offset,
+                1 => offset,
+                _ => 350 + offset,
+            };
+            let range = DateRange::with_len(day(start), len);
+            for g in [1, 2, 3, 5, 7, 30, 365] {
+                prop_assert_eq!(
+                    mb.predict(&data, range, g),
+                    reference::predict(&mb, &data, range, g)
+                );
+            }
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! the 100k–100M-row change table itself holds only dense `u32` ids.
 
 use crate::fxhash::FxHashMap;
+use std::collections::hash_map::Entry;
 
 /// A bijective map between strings and dense `u32` ids.
 ///
@@ -78,14 +79,20 @@ impl Interner {
 
     /// Rebuild an interner from an id-ordered list of strings, as read back
     /// from persistent storage. Duplicate strings are rejected because they
-    /// would break bijectivity.
+    /// would break bijectivity. Each string is moved in and hashed once.
     pub fn from_ordered(strings: Vec<String>) -> Result<Interner, String> {
         let mut interner = Interner::with_capacity(strings.len());
-        for s in &strings {
-            if interner.ids.contains_key(s.as_str()) {
-                return Err(format!("duplicate interned string {s:?}"));
+        for s in strings {
+            let id = interner.strings.len() as u32;
+            match interner.ids.entry(s.into_boxed_str()) {
+                Entry::Occupied(dup) => {
+                    return Err(format!("duplicate interned string {:?}", dup.key()));
+                }
+                Entry::Vacant(slot) => {
+                    interner.strings.push(slot.key().clone());
+                    slot.insert(id);
+                }
             }
-            interner.intern(s);
         }
         Ok(interner)
     }

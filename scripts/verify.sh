@@ -26,6 +26,10 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # full-workspace summary.
 run cargo test -q --offline -p wikistale-cli --test chaos
 run cargo test -q --offline -p wikistale-wikicube binio
+# CRC gate: the carry-less-multiply kernel against the slicing-by-8 table
+# it falls back to (random bytes at unaligned offsets, every two-way split
+# of 200 bytes, zlib's check values).
+run cargo test -q --offline -p wikistale-wikicube crc32
 run cargo test -q --offline -p wikistale-cli --test differential
 
 # Execution-layer gates: the scheduler's unit suite (task order across
@@ -43,10 +47,11 @@ run cargo test -q --offline -p wikistale-cli --test differential -- \
 
 # Day-list gates: the slice store's unit and property tests (round trip,
 # field order and positions, kind filters, `in_range` and `changed_in`),
-# the mean baseline's forward sweep against its per-window reference
-# (synth tiny at 1/7/30/365 days plus the hand-built fixtures), and the
-# build heap bound (at most 2x the finished store on synth small, raw
-# and paper-filtered).
+# the mean baseline's forecast jump against its per-window reference
+# (synth tiny and small at 1/7/30/365 days, the hand-built fixtures, a
+# forecast a float hair below a window start, and random histories and
+# gaps at 1 to 365 days), and the build heap bound (at most 2x the
+# finished store on synth small, raw and paper-filtered).
 run cargo test -q --offline -p wikistale-wikicube daylist
 run cargo test -q --offline -p wikistale-core mean_baseline
 run cargo test -q --offline -p wikistale-bench --test daylist_heap
